@@ -57,7 +57,7 @@ func TestSystemOptionsExercised(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	if sys.PCP() == nil || sys.EventBus() == nil || sys.DFIProxy() == nil {
+	if sys.PCP() == nil || sys.EventBus() == nil || sys.Proxy() == nil {
 		t.Fatal("accessor returned nil")
 	}
 	// Constants and aliases are wired to the same underlying values.

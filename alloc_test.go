@@ -131,53 +131,6 @@ func TestRelayForwardZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEvloopForwardZeroAlloc gates the event-loop relay's forward
-// primitive: the same frame as TestRelayForwardZeroAlloc, but through the
-// state-machine path the epoll workers run — accumulator feed over a raw
-// read chunk, in-place table shift, queue on the write-only peer conn,
-// coalesced flush. Attaching the event loop must not cost the relay its
-// 0 B/op steady state.
-func TestEvloopForwardZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation changes allocation counts")
-	}
-	fm := &openflow.FlowMod{
-		TableID:  0,
-		Command:  openflow.FlowModAdd,
-		BufferID: openflow.NoBuffer,
-		Match:    &openflow.Match{InPort: openflow.U32(1)},
-		Instructions: []openflow.Instruction{
-			&openflow.InstructionGotoTable{TableID: 1},
-		},
-	}
-	wire, err := openflow.Encode(1, fm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peer := openflow.NewWriterConn(nopStream{})
-	var acc openflow.Accumulator
-	emit := func(f *openflow.Frame) error {
-		if !f.ShiftFlowModTables(+1) {
-			t.Fatal("shift refused")
-		}
-		return peer.QueueFrame(f)
-	}
-	chunk := make([]byte, len(wire))
-	forward := func() {
-		copy(chunk, wire) // undo the in-place shift, as a fresh read would
-		if err := acc.Feed(chunk, emit); err != nil {
-			t.Fatal(err)
-		}
-		if err := peer.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	forward() // prime the write buffer
-	if allocs := testing.AllocsPerRun(200, forward); allocs != 0 {
-		t.Fatalf("event-loop relay forward allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
 // nopStream swallows writes and never yields reads (alloc-gate sink).
 type nopStream struct{}
 

@@ -14,11 +14,6 @@
 //	dfi-bench -scenario revocation-storm -json           # one scenario, full scale
 //	dfi-bench -scenario all -quick -json -baseline BENCH_scenarios.json
 //	                                                     # fail on SLO regression
-//
-// Connection-scale relay comparison (BENCH_relay.json):
-//
-//	dfi-bench -relay -json                # goroutine vs event-loop at 100/1k/10k conns
-//	dfi-bench -relay -conns 200 -quick    # one point per mode, CI scale
 package main
 
 import (
@@ -41,27 +36,10 @@ func main() {
 		quick      = flag.Bool("quick", false, "reduced sample counts and sweeps")
 		outDir     = flag.String("o", "", "also write machine-readable .tsv files to this directory")
 		scenName   = flag.String("scenario", "", "run a campus-scale scenario instead of a paper experiment: "+strings.Join(scenario.Names(), "|")+"|all")
-		jsonOut    = flag.Bool("json", false, "with -scenario/-relay: emit the BENCH_*.json document (to -o dir or the working directory)")
+		jsonOut    = flag.Bool("json", false, "with -scenario: emit the BENCH_scenarios.json document (to -o dir or the working directory)")
 		baseline   = flag.String("baseline", "", "with -scenario: committed BENCH_scenarios.json to gate against; any SLO that passed there must still pass")
-		relay      = flag.Bool("relay", false, "run the connection-scale relay comparison (goroutine vs event-loop)")
-		relayConns = flag.Int("conns", 0, "with -relay: a single connection count instead of the 100/1k/10k sweep")
-		relayPoint = flag.String("relay-point", "", "internal: run one relay measurement (mode:conns) in this process and print JSON")
 	)
 	flag.Parse()
-	if *relayPoint != "" {
-		if err := runRelayPoint(*relayPoint, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, "dfi-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *relay {
-		if err := runRelay(*relayConns, *quick, *jsonOut, *outDir); err != nil {
-			fmt.Fprintln(os.Stderr, "dfi-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *scenName != "" {
 		if err := runScenarios(*scenName, *seed, *quick, *jsonOut, *outDir, *baseline); err != nil {
 			fmt.Fprintln(os.Stderr, "dfi-bench:", err)

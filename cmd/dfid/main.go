@@ -46,7 +46,6 @@ func main() {
 		quarantine  = flag.String("quarantine-template", "", "policy template instantiated as <name>(host) on compromise events")
 		queueDepth  = flag.Int("queue", 512, "PCP admission queue depth")
 		workers     = flag.Int("workers", 8, "PCP worker count")
-		evloop      = flag.Int("evloop-workers", 0, "relay switch connections on this many event-loop workers instead of two goroutines per switch (0 disables; -1 selects the default pool size)")
 
 		auditLog      = flag.String("audit-log", "", "path of the hash-chained enforcement audit log (empty to disable)")
 		auditMaxBytes = flag.Int64("audit-max-bytes", 0, "audit log rotation threshold in bytes (0 = 64 MiB default)")
@@ -68,7 +67,7 @@ func main() {
 		sensorAddr: *sensorAddr,
 		bootstrap:  *bootstrap, policyFile: *policyFile,
 		policyWatch: *policyWatch, quarantineTmpl: *quarantine,
-		queueDepth: *queueDepth, workers: *workers, evloopWorkers: *evloop,
+		queueDepth: *queueDepth, workers: *workers,
 		auditLog: *auditLog, auditMaxBytes: *auditMaxBytes, pprof: *pprofOn,
 		sloInterval: *sloInterval,
 		tlsCert:     *tlsCert, tlsKey: *tlsKey, tlsCA: *tlsCA,
@@ -87,7 +86,6 @@ type daemonConfig struct {
 	policyWatch                    time.Duration
 	quarantineTmpl                 string
 	queueDepth, workers            int
-	evloopWorkers                  int
 	auditLog                       string
 	auditMaxBytes                  int64
 	pprof                          bool
@@ -155,9 +153,6 @@ func run(cfg daemonConfig) error {
 	sysOpts := []dfi.Option{
 		dfi.WithControllerDialer(dialController),
 		dfi.WithAdmissionQueue(cfg.queueDepth, cfg.workers),
-	}
-	if cfg.evloopWorkers != 0 {
-		sysOpts = append(sysOpts, dfi.WithEventLoop(cfg.evloopWorkers))
 	}
 	if cfg.auditLog != "" {
 		sysOpts = append(sysOpts, dfi.WithAuditLog(cfg.auditLog, cfg.auditMaxBytes))
@@ -287,8 +282,6 @@ func run(cfg daemonConfig) error {
 		}
 		remote := conn.RemoteAddr()
 		log.Printf("switch connected from %s", remote)
-		// Non-blocking registration: in event-loop mode no goroutine is
-		// held per switch; in goroutine mode HandleSwitch spawns the relay.
 		if err := sys.HandleSwitch(conn, func(err error) {
 			if err != nil {
 				log.Printf("switch %s: %v", remote, err)

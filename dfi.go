@@ -65,7 +65,6 @@ type config struct {
 	flowCacheSize int
 	flushFanOut   int
 	statsTimeout  time.Duration
-	evloopWorkers int
 	metrics       *obs.Registry
 	traceCap      int
 	traceEvery    int
@@ -196,23 +195,6 @@ func WithFlushFanOut(workers int) Option {
 // switch's multipart reply (default 10s).
 func WithFlowStatsTimeout(d time.Duration) Option {
 	return func(c *config) { c.statsTimeout = d }
-}
-
-// WithEventLoop relays switch connections on a pool of that many
-// event-loop workers instead of two blocking goroutines per switch:
-// readiness-driven non-blocking reads feed per-connection frame state
-// machines, so goroutine count stays O(workers) at 10k-connection scale.
-// workers <= 0 selects the engine default. Streams that are not
-// socket-backed (in-memory pipes) and non-linux platforms transparently
-// fall back to one pump goroutine per connection with identical relay
-// semantics. Default off.
-func WithEventLoop(workers int) Option {
-	return func(c *config) {
-		if workers <= 0 {
-			workers = proxy.DefaultEventLoopWorkers
-		}
-		c.evloopWorkers = workers
-	}
 }
 
 // WithPolicySource loads an initial policy document (the policytext
@@ -477,7 +459,6 @@ func New(opts ...Option) (*System, error) {
 		Latency:          cfg.proxyLat,
 		Obs:              s.metrics,
 		FlowStatsTimeout: cfg.statsTimeout,
-		EventLoopWorkers: cfg.evloopWorkers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dfi: %w", err)
@@ -535,10 +516,8 @@ func (s *System) ServeSwitch(conn io.ReadWriteCloser) error {
 }
 
 // HandleSwitch interposes DFI on one switch connection without blocking
-// the caller: it returns once the connection is registered and invokes
-// done (if non-nil) when the session ends. With WithEventLoop the
-// connection consumes no goroutines while it lives; otherwise it holds
-// the two relay goroutines ServeSwitch would.
+// the caller: it runs ServeSwitch on its own goroutine and invokes done
+// (if non-nil) with ServeSwitch's result when the session ends.
 func (s *System) HandleSwitch(conn io.ReadWriteCloser, done func(error)) error {
 	return s.proxy.HandleSwitch(conn, done)
 }
@@ -561,12 +540,6 @@ func (s *System) PolicyEngine() *compile.Engine { return s.engine }
 
 // Proxy returns the interposition proxy (for statistics).
 func (s *System) Proxy() *proxy.Proxy { return s.proxy }
-
-// DFIProxy returns the proxy.
-//
-// Deprecated: use Proxy. Retained for callers written against the
-// pre-observability API; it is a trivial wrapper and will be removed.
-func (s *System) DFIProxy() *proxy.Proxy { return s.Proxy() }
 
 // Metrics returns the registry holding every component's instruments
 // (the one passed to WithMetrics, or the System's private registry).
@@ -591,13 +564,10 @@ func (s *System) SLO() *slo.Engine { return s.slo }
 // EventBus returns the sensor event bus.
 func (s *System) EventBus() *bus.Bus { return s.bus }
 
-// Close stops the PCP workers, detaches sensor subscriptions, shuts down
-// the proxy's event-loop engine (closing its relayed connections) and
-// closes the audit log. Goroutine-mode switch connections terminate when
-// their streams close.
+// Close stops the PCP workers, detaches sensor subscriptions and closes
+// the audit log. Switch connections terminate when their streams close.
 func (s *System) Close() {
 	s.slo.Close()
-	s.proxy.Close()
 	s.pcp.Stop()
 	if s.detachFn != nil {
 		s.detachFn()

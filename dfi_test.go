@@ -135,10 +135,10 @@ func TestEndToEndOverTCP(t *testing.T) {
 	denied := netpkt.BuildTCP(macB, macA, ipB, ipA, &netpkt.TCPSegment{SrcPort: 2000, DstPort: 80, Flags: netpkt.TCPSyn})
 	sw.Inject(2, denied) // b→a has no allow rule
 	deadline := time.Now().Add(3 * time.Second)
-	for sys.DFIProxy().Stats().Denied == 0 && time.Now().Before(deadline) {
+	for sys.Proxy().Stats().Denied == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if sys.DFIProxy().Stats().Denied == 0 {
+	if sys.Proxy().Stats().Denied == 0 {
 		t.Fatal("reverse flow was not denied")
 	}
 }

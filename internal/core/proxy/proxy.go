@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"github.com/dfi-sdn/dfi/internal/core/pcp"
-	"github.com/dfi-sdn/dfi/internal/core/proxy/evloop"
 	"github.com/dfi-sdn/dfi/internal/obs"
 	"github.com/dfi-sdn/dfi/internal/openflow"
 	"github.com/dfi-sdn/dfi/internal/simclock"
@@ -49,15 +48,7 @@ type Config struct {
 	// (switchWriter.ReadFlows) waits for the switch's multipart reply
 	// before giving up (default 10s).
 	FlowStatsTimeout time.Duration
-	// EventLoopWorkers > 0 relays connections on a pool of that many
-	// event-loop workers instead of two blocking goroutines per switch
-	// (ROADMAP item 3). Zero keeps the goroutine-per-connection relay.
-	EventLoopWorkers int
 }
-
-// DefaultEventLoopWorkers is the event-loop pool size selected when the
-// relay is enabled without an explicit worker count.
-const DefaultEventLoopWorkers = evloop.DefaultWorkers
 
 // Stats is a point-in-time snapshot of the proxy's counters, assembled from
 // the obs registry (the registry is the source of truth; this struct is a
@@ -73,7 +64,6 @@ type Stats struct {
 type Proxy struct {
 	cfg      Config
 	overhead *obs.Histogram
-	engine   *evloop.Engine // nil unless EventLoopWorkers > 0
 
 	packetIns *obs.Counter
 	denied    *obs.Counter
@@ -123,19 +113,7 @@ func New(cfg Config) (*Proxy, error) {
 		relayErrSwitch:     relayErrs.With("switch"),
 		relayErrController: relayErrs.With("controller"),
 	}
-	if cfg.EventLoopWorkers > 0 {
-		p.engine = evloop.New(evloop.Config{Workers: cfg.EventLoopWorkers, Obs: reg})
-	}
 	return p, nil
-}
-
-// Close releases the proxy's event-loop engine (if any), tearing down
-// every relayed connection. A proxy without an engine has nothing to
-// release.
-func (p *Proxy) Close() {
-	if p.engine != nil {
-		p.engine.Close()
-	}
 }
 
 // orderlyClose reports whether a relay leg's terminal error is an orderly
@@ -251,47 +229,9 @@ var (
 )
 
 // ServeSwitch handles one switch connection: it dials the controller,
-// relays messages in both directions applying DFI's rewrites, and blocks
-// until either side closes. With the event-loop engine enabled it is a
-// thin registration shim over HandleSwitch — the calling goroutine parks
-// on a channel instead of running a relay loop.
+// relays messages in both directions applying DFI's rewrites on two
+// goroutines, one per direction, and blocks until either side closes.
 func (p *Proxy) ServeSwitch(swStream io.ReadWriteCloser) error {
-	if p.engine == nil {
-		return p.serveSwitchBlocking(swStream)
-	}
-	done := make(chan error, 1)
-	if err := p.handleSwitchEvloop(swStream, func(err error) { done <- err }); err != nil {
-		return err
-	}
-	return <-done
-}
-
-// HandleSwitch serves one switch connection without blocking the caller:
-// it returns once the connection is registered (or the controller dial
-// fails) and invokes done exactly once when the session ends (nil for an
-// orderly close). In event-loop mode the connection's lifetime holds no
-// goroutines; in goroutine mode it holds the two relay legs.
-func (p *Proxy) HandleSwitch(swStream io.ReadWriteCloser, done func(error)) error {
-	if done == nil {
-		done = func(error) {}
-	}
-	if p.engine != nil {
-		return p.handleSwitchEvloop(swStream, done)
-	}
-	go func() { done(p.serveSwitchBlocking(swStream)) }()
-	return nil
-}
-
-// relayResult tags a relay leg's terminal error with its side for the
-// failure counter.
-type relayResult struct {
-	side *obs.Counter
-	err  error
-}
-
-// serveSwitchBlocking is the goroutine-per-connection relay: two blocking
-// loops, one per direction, torn down together when either ends.
-func (p *Proxy) serveSwitchBlocking(swStream io.ReadWriteCloser) error {
 	ctlStream, err := p.cfg.DialController()
 	if err != nil {
 		swStream.Close()
@@ -342,6 +282,25 @@ func (p *Proxy) serveSwitchBlocking(swStream io.ReadWriteCloser) error {
 		return nil
 	}
 	return first.err
+}
+
+// HandleSwitch serves one switch connection without blocking the caller:
+// it runs ServeSwitch on its own goroutine and invokes done exactly once
+// when the session ends (nil for an orderly close). It always returns nil;
+// a controller dial failure is reported through done.
+func (p *Proxy) HandleSwitch(swStream io.ReadWriteCloser, done func(error)) error {
+	if done == nil {
+		done = func(error) {}
+	}
+	go func() { done(p.ServeSwitch(swStream)) }()
+	return nil
+}
+
+// relayResult tags a relay leg's terminal error with its side for the
+// failure counter.
+type relayResult struct {
+	side *obs.Counter
+	err  error
 }
 
 // session is the per-switch-connection relay state.

@@ -166,10 +166,10 @@ func TestRelayCoalescesBurst(t *testing.T) {
 	}
 }
 
-// newRelayBenchSession builds a bare session with raw pipe far ends, so
+// newThroughputSession builds a bare session with raw pipe far ends, so
 // the benchmark can write wire bytes and drain them without the framing
 // cost landing inside the measured region.
-func newRelayBenchSession(b *testing.B) (*session, *bufpipe.Conn, *bufpipe.Conn) {
+func newThroughputSession(b *testing.B) (*session, *bufpipe.Conn, *bufpipe.Conn) {
 	b.Helper()
 	p := pcp.New(pcp.Config{Entity: entity.NewManager(), Policy: policy.NewManager()})
 	prx, err := New(Config{PCP: p, DialController: func() (io.ReadWriteCloser, error) {
@@ -198,7 +198,7 @@ func newRelayBenchSession(b *testing.B) (*session, *bufpipe.Conn, *bufpipe.Conn)
 // measures sustained per-message cost; ns/op is one message end to end
 // across the proxy.
 func BenchmarkRelayThroughput(b *testing.B) {
-	sess, ctlFar, swFar := newRelayBenchSession(b)
+	sess, ctlFar, swFar := newThroughputSession(b)
 	go func() { _ = sess.relayControllerToSwitch() }()
 
 	wire, err := openflow.Encode(1, relayFlowMod())

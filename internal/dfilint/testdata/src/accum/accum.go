@@ -1,4 +1,4 @@
-// Package accum exercises the analyzers over the event-loop relay's
+// Package accum exercises the analyzers over a poller-driven reader's
 // accumulator idiom: a shared read buffer feeds a per-connection frame
 // state machine, and neither the steady-state feed nor the emit callback
 // may allocate or let the transient read chunk escape the call.
@@ -90,7 +90,7 @@ func ReadBurst(read func([]byte) int, a *acc, emit func([]byte) error) error {
 
 // ReadBurstLeaky deliberately escapes the pooled read buffer: the parked
 // frame aliases recycled backing memory, the exact corruption class the
-// event-loop's shared read buffers make possible.
+// shared read buffers of a poller-driven reader make possible.
 func ReadBurstLeaky(read func([]byte) int) {
 	bp := readPool.Get().(*[]byte)
 	n := read(*bp)

@@ -9,7 +9,7 @@ import (
 
 // Poller is a level-triggered epoll instance plus a non-blocking wake pipe.
 // Add/Mod/Del/Wake are safe for concurrent use from any goroutine; Wait
-// must be called from a single goroutine (the owning event-loop worker).
+// must be called from a single goroutine (the poller's owning loop).
 type Poller struct {
 	epfd int
 	// wake pipe: writing one byte to wakeW interrupts a blocked Wait.

@@ -1,16 +1,16 @@
-// Package netpoll is a minimal readiness poller for the DFI proxy's
-// event-loop relay (ROADMAP item 3). On linux it wraps epoll through the
-// stdlib syscall package — no cgo, no golang.org/x/sys — so a small fixed
-// pool of workers can multiplex tens of thousands of switch connections
-// without a goroutine (and its stack) per connection. On every other
-// platform New reports ErrUnsupported and callers fall back to the
-// channel-based pump mode the evloop package provides.
+// Package netpoll is a minimal readiness poller for load generators that
+// drive many sockets from one goroutine (the benchmark rig's switch and
+// controller peers). On linux it wraps epoll through the stdlib syscall
+// package — no cgo, no golang.org/x/sys — so a few goroutines can
+// multiplex hundreds of connections without a goroutine (and its stack)
+// per connection. On every other platform New reports ErrUnsupported and
+// callers use their portable fallback.
 //
 // The poller is deliberately tiny: level-triggered readiness, one uint32
 // token per fd, and a Wake channel an outside goroutine can use to break a
 // blocked Wait (registration, teardown, write-interest changes). Everything
-// higher-level — partial-frame accumulation, peer backpressure, connection
-// state — lives in internal/core/proxy/evloop.
+// higher-level — partial-frame accumulation, backpressure, connection
+// state — belongs to the caller.
 package netpoll
 
 import (

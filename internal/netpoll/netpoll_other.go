@@ -3,11 +3,11 @@
 package netpoll
 
 // Poller is unavailable on this platform; New reports ErrUnsupported and
-// every method panics if reached (the evloop engine never registers fds
-// without a poller).
+// every method panics if reached (callers never register fds without a
+// poller).
 type Poller struct{}
 
-// New reports ErrUnsupported: callers use the channel-based fallback.
+// New reports ErrUnsupported: callers use their portable fallback.
 func New() (*Poller, error) { return nil, ErrUnsupported }
 
 func (p *Poller) Add(fd int, token uint32, readable, writable bool) error {

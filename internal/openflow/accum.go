@@ -1,8 +1,9 @@
 package openflow
 
 // Accumulator reassembles OpenFlow frames from arbitrarily fragmented byte
-// chunks: the per-connection state machine behind the proxy's event-loop
-// relay. Reads from a non-blocking socket arrive as whatever the kernel had
+// chunks, for readers that pull bytes off non-blocking sockets instead of
+// through a Conn (the benchmark rig's poller-driven switch and controller
+// peers). Reads from a non-blocking socket arrive as whatever the kernel had
 // buffered — half a header, three frames and a tail, one byte — and Feed
 // walks complete frames out of each chunk in place, carrying partial bytes
 // over to the next call in a per-connection buffer.

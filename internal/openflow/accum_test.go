@@ -213,7 +213,7 @@ func TestAccumulatorMatchesReadFrame(t *testing.T) {
 
 // TestAccumulatorSteadyStateZeroAlloc: once the carry buffer has grown, a
 // whole-frame feed and a split-frame feed both run without allocating —
-// the event-loop relay's read path contract.
+// the read-path contract of poller-driven readers (the benchmark rig).
 func TestAccumulatorSteadyStateZeroAlloc(t *testing.T) {
 	wire, err := Encode(3, &EchoRequest{Data: []byte("steady")})
 	if err != nil {

@@ -53,35 +53,6 @@ func NewConn(rw io.ReadWriter) *Conn {
 	return c
 }
 
-// NewWriterConn wraps a write side only: Send*/Queue*/Flush work as usual
-// but no read buffer is allocated and Recv/RecvFrame return io.EOF. The
-// event-loop relay uses this mode — reads happen in the poller's frame
-// accumulator, not through the Conn, and skipping the bufio.Reader saves
-// 4 KiB per connection at 10k-connection scale.
-func NewWriterConn(w io.Writer) *Conn {
-	c := &Conn{
-		rw:      writerOnly{w},
-		flushAt: DefaultFlushThreshold,
-	}
-	c.nextXID.Store(1)
-	return c
-}
-
-// writerOnly adapts an io.Writer as the Conn's stream; reads report EOF.
-type writerOnly struct{ w io.Writer }
-
-func (w writerOnly) Write(p []byte) (int, error) { return w.w.Write(p) }
-func (w writerOnly) Read([]byte) (int, error)    { return 0, io.EOF }
-
-// Close forwards to the wrapped writer so Conn.Close still tears the
-// stream down in writer-only mode.
-func (w writerOnly) Close() error {
-	if c, ok := w.w.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
-
 // SetFlushThreshold overrides the queued-bytes level that forces a flush
 // (default DefaultFlushThreshold). Values < 1 flush on every queued
 // message, degenerating to write-through.

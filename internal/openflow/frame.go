@@ -47,7 +47,7 @@ func (f *Frame) SetBytes(b []byte) {
 
 // Alias binds the frame to b without copying: the frame views b directly,
 // so in-place rewrites (Shift*) mutate b and the frame is valid only while
-// b is. The event-loop relay uses this to walk frames straight out of a
+// b is. Accumulator uses this to walk frames straight out of a
 // read chunk; everyone else should prefer SetBytes. b must be a complete,
 // header-valid wire message.
 //

@@ -108,9 +108,9 @@ func TestMultiSwitchPerHopEnforcement(t *testing.T) {
 
 	// The same flow is now denied at the FIRST hop; host B sees nothing.
 	drainBytes(gotB)
-	deniedBefore := sys.DFIProxy().Stats().Denied
+	deniedBefore := sys.Proxy().Stats().Denied
 	swA.Inject(1, syn)
-	waitFor(t, func() bool { return sys.DFIProxy().Stats().Denied > deniedBefore }, "denied at hop 1")
+	waitFor(t, func() bool { return sys.Proxy().Stats().Denied > deniedBefore }, "denied at hop 1")
 	select {
 	case <-gotB:
 		t.Fatal("denied flow still delivered")
