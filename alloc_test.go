@@ -9,7 +9,6 @@ import (
 	"github.com/dfi-sdn/dfi/internal/core/entity"
 	"github.com/dfi-sdn/dfi/internal/core/pcp"
 	"github.com/dfi-sdn/dfi/internal/core/policy"
-	"github.com/dfi-sdn/dfi/internal/core/policy/classifier"
 	"github.com/dfi-sdn/dfi/internal/netpkt"
 	"github.com/dfi-sdn/dfi/internal/obs"
 	"github.com/dfi-sdn/dfi/internal/openflow"
@@ -136,29 +135,6 @@ type nopStream struct{}
 
 func (nopStream) Write(p []byte) (int, error) { return len(p), nil }
 func (nopStream) Read([]byte) (int, error)    { return 0, io.EOF }
-
-// TestCompiledLookupZeroAlloc gates the delta-compiler's admission lookup:
-// a tuple-space probe over a 1000-rule compiled classifier — hit, user-hit,
-// and default-deny miss alike — must not allocate. This is the //dfi:hotpath
-// contract behind the queryPolicy fast path.
-func TestCompiledLookupZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation changes allocation counts")
-	}
-	pm := policyBenchManager(t, 1000)
-	c := classifier.Compile(pm.Snapshot())
-	flows := policyBenchFlows(1000)
-	for _, f := range flows {
-		c.Lookup(f) // prime
-	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		for _, f := range flows {
-			c.Lookup(f)
-		}
-	}); allocs != 0 {
-		t.Fatalf("compiled lookup allocates %.1f objects/op, want 0", allocs)
-	}
-}
 
 // TestAdmissionZeroAllocWithLanguagePolicy re-runs the cache-hit zero-alloc
 // gate with the 1000-rule policy produced by the policytext compiler

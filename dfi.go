@@ -59,9 +59,6 @@ type config struct {
 	denyIdleSec   uint16
 	externalBus   *bus.Bus
 	wildcardCache bool
-	deltaCompile  bool
-	proactivePush bool
-	proactiveMax  int
 	flowCacheSize int
 	flushFanOut   int
 	statsTimeout  time.Duration
@@ -146,29 +143,6 @@ func WithRuleTimeouts(allowSec, denySec uint16) Option {
 // reducing control-plane load for flow-dense host pairs.
 func WithWildcardCaching() Option {
 	return func(c *config) { c.wildcardCache = true }
-}
-
-// WithDeltaCompilation enables the incremental policy delta-compiler: the
-// PCP compiles each policy epoch into a tuple-space classifier, serves
-// admission queries from it, and on every mutation emits only the flow
-// mods the epoch-to-epoch rule delta requires — O(changed rules) per
-// mutation instead of the legacy cookie-scoped delete list — over the
-// batched flush fan-out.
-func WithDeltaCompilation() Option {
-	return func(c *config) { c.deltaCompile = true }
-}
-
-// WithProactivePush additionally installs exact-match table-0 allow rules
-// ahead of traffic, at rule-insert and binding-change time, for entities
-// whose identifier chains are fully bound — so steady-state traffic on
-// those flows forwards with zero packet-ins. maxFlowsPerRule caps how many
-// entries one rule may expand into (0 selects the default, 128). Implies
-// delta compilation.
-func WithProactivePush(maxFlowsPerRule int) Option {
-	return func(c *config) {
-		c.proactivePush = true
-		c.proactiveMax = maxFlowsPerRule
-	}
 }
 
 // WithFlowDecisionCache sizes the PCP's flow-decision cache: the LRU that
@@ -403,9 +377,6 @@ func New(opts ...Option) (*System, error) {
 		Workers:             cfg.workers,
 		RulePriority:        cfg.rulePriority,
 		WildcardCaching:     cfg.wildcardCache,
-		DeltaCompilation:    cfg.deltaCompile,
-		ProactivePush:       cfg.proactivePush,
-		ProactiveMaxFlows:   cfg.proactiveMax,
 		AllowIdleTimeoutSec: cfg.allowIdleSec,
 		DenyIdleTimeoutSec:  cfg.denyIdleSec,
 		FlushFanOut:         cfg.flushFanOut,

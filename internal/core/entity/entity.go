@@ -34,48 +34,6 @@ type Location struct {
 	Port uint32
 }
 
-// ChangeKind identifies which link of the identifier chain a binding
-// mutation touched.
-type ChangeKind uint8
-
-// Binding change kinds, one per chain link.
-const (
-	ChangeUserHost ChangeKind = iota + 1
-	ChangeHostIP
-	ChangeIPMAC
-	ChangeMACLocation
-)
-
-// Change describes one effective binding mutation, carrying the
-// identifiers the mutation named — including the previous holder when a
-// bind displaced one (a DHCP lease reassignment, a DNS repoint) — so a
-// consumer can re-derive any state keyed on them. No-op re-binds emit no
-// Change, mirroring the epoch rules.
-type Change struct {
-	Kind ChangeKind
-	// Bind is true for a bind, false for an unbind.
-	Bind bool
-
-	User     string
-	Host     string
-	PrevHost string // ChangeHostIP: host the IP previously resolved to
-	HasIP    bool
-	IP       netpkt.IPv4
-	HasMAC   bool
-	MAC      netpkt.MAC
-	// PrevMAC is the MAC a rebound IP previously leased to (ChangeIPMAC).
-	HasPrevMAC bool
-	PrevMAC    netpkt.MAC
-	// DPID is the switch of a ChangeMACLocation mutation.
-	DPID uint64
-}
-
-// ChangeFunc observes effective binding mutations. It is invoked after the
-// manager's write lock is released (so it may call accessors freely) and
-// after the epoch bump is visible; the bindings it reads are therefore at
-// least as new as the change it was notified of.
-type ChangeFunc func(Change)
-
 // Manager is the Entity Resolution Manager.
 type Manager struct {
 	clock   simclock.Clock
@@ -97,9 +55,6 @@ type Manager struct {
 	epoch atomic.Uint64
 
 	mu sync.RWMutex
-	// onChange, when set, observes effective binding mutations (invoked
-	// after mu is released, like auditf).
-	onChange ChangeFunc
 	// username <-> hostname (SIEM log-on sensor).
 	userToHosts map[string]map[string]struct{}
 	hostToUsers map[string]map[string]struct{}
@@ -179,34 +134,15 @@ func (m *Manager) bump(changed bool) {
 	}
 }
 
-// SetChangeFunc registers the single consumer of effective binding
-// mutations (the PCP's proactive-push maintenance). Set it before sensors
-// start mutating bindings.
-func (m *Manager) SetChangeFunc(fn ChangeFunc) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.onChange = fn
-}
-
-// notify invokes the change hook outside the write lock; fn was read under
-// it. A nil fn (the common case) costs one branch.
-func notify(fn ChangeFunc, ch Change) {
-	if fn != nil {
-		fn(ch)
-	}
-}
-
 // BindUserHost records that user is logged onto host.
 func (m *Manager) BindUserHost(user, host string) {
 	m.mu.Lock()
 	changed := addTo(m.userToHosts, user, host)
 	addTo(m.hostToUsers, host, user)
 	m.bump(changed)
-	fn := m.onChange
 	m.mu.Unlock()
 	if changed {
 		m.auditf("bind", "user-host %s@%s", user, host)
-		notify(fn, Change{Kind: ChangeUserHost, Bind: true, User: user, Host: host})
 	}
 }
 
@@ -216,11 +152,9 @@ func (m *Manager) UnbindUserHost(user, host string) {
 	changed := removeFrom(m.userToHosts, user, host)
 	removeFrom(m.hostToUsers, host, user)
 	m.bump(changed)
-	fn := m.onChange
 	m.mu.Unlock()
 	if changed {
 		m.auditf("unbind", "user-host %s@%s", user, host)
-		notify(fn, Change{Kind: ChangeUserHost, User: user, Host: host})
 	}
 }
 
@@ -240,14 +174,8 @@ func (m *Manager) BindHostIP(host string, ip netpkt.IPv4) {
 	m.ipToHost[ip] = host
 	addToKey(m.hostToIPs, host, ip)
 	m.bump(true)
-	fn := m.onChange
 	m.mu.Unlock()
 	m.auditf("bind", "host-ip %s=%s", host, ip)
-	ch := Change{Kind: ChangeHostIP, Bind: true, Host: host, HasIP: true, IP: ip}
-	if had {
-		ch.PrevHost = prev
-	}
-	notify(fn, ch)
 }
 
 // UnbindHostIP removes a DNS binding.
@@ -262,11 +190,9 @@ func (m *Manager) UnbindHostIP(host string, ip netpkt.IPv4) {
 		changed = true
 	}
 	m.bump(changed)
-	fn := m.onChange
 	m.mu.Unlock()
 	if changed {
 		m.auditf("unbind", "host-ip %s=%s", host, ip)
-		notify(fn, Change{Kind: ChangeHostIP, Host: host, HasIP: true, IP: ip})
 	}
 }
 
@@ -288,14 +214,8 @@ func (m *Manager) BindIPMAC(ip netpkt.IPv4, mac netpkt.MAC) {
 	}
 	m.macToIPs[mac][ip] = struct{}{}
 	m.bump(true)
-	fn := m.onChange
 	m.mu.Unlock()
 	m.auditf("bind", "ip-mac %s=%s", ip, mac)
-	ch := Change{Kind: ChangeIPMAC, Bind: true, HasIP: true, IP: ip, HasMAC: true, MAC: mac}
-	if had {
-		ch.HasPrevMAC, ch.PrevMAC = true, prev
-	}
-	notify(fn, ch)
 }
 
 // UnbindIPMAC removes a DHCP lease binding (lease expiry/release).
@@ -310,11 +230,9 @@ func (m *Manager) UnbindIPMAC(ip netpkt.IPv4, mac netpkt.MAC) {
 		changed = true
 	}
 	m.bump(changed)
-	fn := m.onChange
 	m.mu.Unlock()
 	if changed {
 		m.auditf("unbind", "ip-mac %s=%s", ip, mac)
-		notify(fn, Change{Kind: ChangeIPMAC, HasIP: true, IP: ip, HasMAC: true, MAC: mac})
 	}
 }
 
@@ -334,10 +252,8 @@ func (m *Manager) BindMACLocation(mac netpkt.MAC, loc Location) {
 	}
 	m.macToLoc[mac][loc.DPID] = loc.Port
 	m.bump(true)
-	fn := m.onChange
 	m.mu.Unlock()
 	m.auditf("bind", "mac-location %s@%#x:%d", mac, loc.DPID, loc.Port)
-	notify(fn, Change{Kind: ChangeMACLocation, Bind: true, HasMAC: true, MAC: mac, DPID: loc.DPID})
 }
 
 // UnbindMACLocation removes a MAC's attachment on one switch.
@@ -354,11 +270,9 @@ func (m *Manager) UnbindMACLocation(mac netpkt.MAC, dpid uint64) {
 			changed = true
 		}
 	}
-	fn := m.onChange
 	m.mu.Unlock()
 	if changed {
 		m.auditf("unbind", "mac-location %s@%#x", mac, dpid)
-		notify(fn, Change{Kind: ChangeMACLocation, HasMAC: true, MAC: mac, DPID: dpid})
 	}
 }
 
@@ -524,40 +438,6 @@ func (m *Manager) LocationOf(mac netpkt.MAC, dpid uint64) (uint32, bool) {
 	defer m.mu.RUnlock()
 	port, ok := m.macToLoc[mac][dpid]
 	return port, ok
-}
-
-// LocationsOf returns every switch attachment currently known for mac,
-// ordered by (DPID, Port).
-func (m *Manager) LocationsOf(mac netpkt.MAC) []Location {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	locs := make([]Location, 0, len(m.macToLoc[mac]))
-	for dpid, port := range m.macToLoc[mac] {
-		locs = append(locs, Location{DPID: dpid, Port: port})
-	}
-	sort.Slice(locs, func(i, j int) bool {
-		if locs[i].DPID != locs[j].DPID {
-			return locs[i].DPID < locs[j].DPID
-		}
-		return locs[i].Port < locs[j].Port
-	})
-	return locs
-}
-
-// IPsOfMAC returns the IPs whose current lease points at mac, sorted. The
-// ip→MAC map has no reverse index (leases are queried by IP on the hot
-// path), so this scans; callers are control-plane binding-change hooks.
-func (m *Manager) IPsOfMAC(mac netpkt.MAC) []netpkt.IPv4 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var ips []netpkt.IPv4
-	for ip, have := range m.ipToMAC {
-		if have == mac {
-			ips = append(ips, ip)
-		}
-	}
-	sort.Slice(ips, func(i, j int) bool { return ips[i].Uint32() < ips[j].Uint32() })
-	return ips
 }
 
 func addTo(m map[string]map[string]struct{}, k, v string) bool {

@@ -256,83 +256,3 @@ func TestEpochBumpsOnlyOnEffectiveChange(t *testing.T) {
 	step("unbind location", true, func() { m.UnbindMACLocation(macA, 1) })
 	step("unbind absent location", false, func() { m.UnbindMACLocation(macA, 1) })
 }
-
-// TestChangeFuncObservesEffectiveMutations: every effective Bind*/Unbind*
-// emits exactly one Change (after the lock is released, with the new epoch
-// visible), no-op re-binds emit nothing, and displacement binds carry the
-// previous holder.
-func TestChangeFuncObservesEffectiveMutations(t *testing.T) {
-	m := NewManager()
-	var changes []Change
-	m.SetChangeFunc(func(ch Change) {
-		// The hook may read accessors freely: the write lock is released.
-		m.IPsOf("irrelevant")
-		changes = append(changes, ch)
-	})
-
-	m.BindUserHost("alice", "h1")
-	m.BindUserHost("alice", "h1") // no-op: no change
-	m.BindHostIP("h1", ipA)
-	m.BindIPMAC(ipA, macA)
-	m.BindIPMAC(ipA, macA) // no-op
-	m.BindMACLocation(macA, Location{DPID: 1, Port: 3})
-	m.BindMACLocation(macA, Location{DPID: 1, Port: 3}) // no-op
-	if len(changes) != 4 {
-		t.Fatalf("%d changes for 4 effective mutations: %+v", len(changes), changes)
-	}
-	want := []struct {
-		kind ChangeKind
-		bind bool
-	}{
-		{ChangeUserHost, true}, {ChangeHostIP, true}, {ChangeIPMAC, true}, {ChangeMACLocation, true},
-	}
-	for i, w := range want {
-		if changes[i].Kind != w.kind || changes[i].Bind != w.bind {
-			t.Fatalf("change %d = %+v, want kind %d bind %v", i, changes[i], w.kind, w.bind)
-		}
-	}
-
-	// A DHCP lease reassignment names the displaced MAC.
-	changes = nil
-	m.BindIPMAC(ipA, macB)
-	if len(changes) != 1 {
-		t.Fatalf("%d changes for a lease reassignment", len(changes))
-	}
-	if ch := changes[0]; !ch.HasPrevMAC || ch.PrevMAC != macA || ch.MAC != macB {
-		t.Fatalf("reassignment change = %+v, want PrevMAC %v", ch, macA)
-	}
-
-	// Unbinds notify with Bind=false.
-	changes = nil
-	m.UnbindUserHost("alice", "h1")
-	m.UnbindUserHost("alice", "h1") // no-op
-	if len(changes) != 1 || changes[0].Bind || changes[0].Kind != ChangeUserHost {
-		t.Fatalf("unbind changes = %+v", changes)
-	}
-}
-
-// TestLocationsOfAndIPsOfMAC: the reverse accessors the proactive push
-// concretizes through, sorted for deterministic derivations.
-func TestLocationsOfAndIPsOfMAC(t *testing.T) {
-	m := NewManager()
-	if got := m.LocationsOf(macA); len(got) != 0 {
-		t.Fatalf("LocationsOf(unbound) = %v", got)
-	}
-	m.BindMACLocation(macA, Location{DPID: 2, Port: 9})
-	m.BindMACLocation(macA, Location{DPID: 1, Port: 4})
-	got := m.LocationsOf(macA)
-	if len(got) != 2 || got[0] != (Location{DPID: 1, Port: 4}) || got[1] != (Location{DPID: 2, Port: 9}) {
-		t.Fatalf("LocationsOf = %v, want sorted by DPID", got)
-	}
-
-	m.BindIPMAC(ipB, macA)
-	m.BindIPMAC(ipA, macA)
-	ips := m.IPsOfMAC(macA)
-	if len(ips) != 2 || ips[0] != ipA || ips[1] != ipB {
-		t.Fatalf("IPsOfMAC = %v, want sorted [%v %v]", ips, ipA, ipB)
-	}
-	m.UnbindIPMAC(ipA, macA)
-	if ips := m.IPsOfMAC(macA); len(ips) != 1 || ips[0] != ipB {
-		t.Fatalf("IPsOfMAC after unbind = %v", ips)
-	}
-}

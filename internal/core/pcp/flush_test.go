@@ -8,6 +8,7 @@ import (
 
 	"github.com/dfi-sdn/dfi/internal/core/entity"
 	"github.com/dfi-sdn/dfi/internal/core/policy"
+	"github.com/dfi-sdn/dfi/internal/netpkt"
 	"github.com/dfi-sdn/dfi/internal/obs"
 	"github.com/dfi-sdn/dfi/internal/openflow"
 )
@@ -150,3 +151,89 @@ func benchmarkFlushFanOut(b *testing.B, nSwitches int) {
 func BenchmarkFlushFanOut_1Switches(b *testing.B)  { benchmarkFlushFanOut(b, 1) }
 func BenchmarkFlushFanOut_8Switches(b *testing.B)  { benchmarkFlushFanOut(b, 8) }
 func BenchmarkFlushFanOut_32Switches(b *testing.B) { benchmarkFlushFanOut(b, 32) }
+
+// newPolicyEnv is newFlushEnv with PDPs "low" (priority 10) and "high"
+// (priority 20) registered, so tests can drive flushes through policy
+// mutations.
+func newPolicyEnv(t testing.TB, nSwitches int) (*PCP, *policy.Manager, []*batchSwitch) {
+	t.Helper()
+	p, sws := newFlushEnv(t, nSwitches, 0, 0)
+	registerOraclePDPs(t, p.cfg.Policy)
+	return p, p.cfg.Policy, sws
+}
+
+// modsWritten counts every flow mod delivered to a switch so far, batched
+// or not.
+func modsWritten(sw *batchSwitch) int {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	n := sw.singles
+	for _, b := range sw.batches {
+		n += len(b)
+	}
+	return n
+}
+
+// TestFlushPoliciesEmptyIdsNoWrites: the Policy Manager notifies the flush
+// hook on every mutation — including ones that invalidate nothing — and
+// the flush must write nothing for an empty id list instead of fanning out
+// empty batches.
+func TestFlushPoliciesEmptyIdsNoWrites(t *testing.T) {
+	p, pm, sws := newPolicyEnv(t, 3)
+	p.FlushPolicies(obs.SpanContext{}, nil)
+	p.FlushPolicies(obs.SpanContext{}, []policy.RuleID{})
+	// A deny insert overlapping nothing flushes an empty id list end to end.
+	if _, err := pm.Insert(policy.Rule{PDP: "low", Action: policy.ActionDeny, Src: policy.EndpointSpec{Host: "h9"}}); err != nil {
+		t.Fatal(err)
+	}
+	for i, sw := range sws {
+		if n := modsWritten(sw); n != 0 {
+			t.Fatalf("switch %d: %d flow mods written for empty flushes, want 0", i, n)
+		}
+		sw.mu.Lock()
+		batches := len(sw.batches)
+		sw.mu.Unlock()
+		if batches != 0 {
+			t.Fatalf("switch %d: %d batch calls for empty flushes, want 0", i, batches)
+		}
+	}
+}
+
+// seedDenyRules inserts n distinct deny rules (one pinned source IP each)
+// under the "low" PDP.
+func seedDenyRules(t testing.TB, pm *policy.Manager, n int) []policy.RuleID {
+	t.Helper()
+	ids := make([]policy.RuleID, 0, n)
+	for i := 0; i < n; i++ {
+		ip := netpkt.IPv4FromUint32(0x0a010000 + uint32(i))
+		id, err := pm.Insert(policy.Rule{PDP: "low", Action: policy.ActionDeny, Src: policy.EndpointSpec{IP: &ip}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+// TestDeltaRevocationSingleCookieDelete: revoking one rule emits exactly
+// one cookie-scoped delete per switch, regardless of policy size.
+func TestDeltaRevocationSingleCookieDelete(t *testing.T) {
+	p, pm, sws := newPolicyEnv(t, 2)
+	defer p.Stop()
+	ids := seedDenyRules(t, pm, 50)
+	before := modsWritten(sws[0])
+	if err := pm.Revoke(ids[17]); err != nil {
+		t.Fatal(err)
+	}
+	for i, sw := range sws {
+		if n := modsWritten(sw) - before; n != 1 {
+			t.Fatalf("switch %d: revocation wrote %d mods, want 1", i, n)
+		}
+		sw.mu.Lock()
+		last := sw.batches[len(sw.batches)-1]
+		sw.mu.Unlock()
+		if len(last) != 1 || last[0] != uint64(ids[17]) {
+			t.Fatalf("switch %d: revocation batch cookies = %v, want [%d]", i, last, ids[17])
+		}
+	}
+}

@@ -22,12 +22,12 @@ func langGroupDoc(n int) string {
 
 // TestLanguageMembershipDeltaBounded is the end-to-end O(affected) gate
 // for the policy language: one membership change of a 1000-member group
-// must flow through Engine → Manager → delta compiler as a single-rule
+// must flow through Engine → Manager → cookie flush as a single-rule
 // delta, bounded flow-mod writes per switch — not a delete-and-repopulate
 // of the whole compiled rule set.
 func TestLanguageMembershipDeltaBounded(t *testing.T) {
 	const members = 1000
-	p, pm, _, sws := newModeEnv(t, 2, func(c *Config) { c.DeltaCompilation = true })
+	p, pm, sws := newPolicyEnv(t, 2)
 	defer p.Stop()
 	eng := compile.NewEngine(pm, nil)
 	if _, err := eng.SetSource(langGroupDoc(members)); err != nil {

@@ -16,12 +16,10 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/dfi-sdn/dfi/internal/core/entity"
 	"github.com/dfi-sdn/dfi/internal/core/policy"
-	"github.com/dfi-sdn/dfi/internal/core/policy/classifier"
 	"github.com/dfi-sdn/dfi/internal/netpkt"
 	"github.com/dfi-sdn/dfi/internal/obs"
 	"github.com/dfi-sdn/dfi/internal/openflow"
@@ -105,23 +103,6 @@ type Config struct {
 	// provably-safe widened flow rules instead of exact matches, reducing
 	// control-plane load (see wildcard.go for the safety argument).
 	WildcardCaching bool
-	// DeltaCompilation enables the incremental policy delta-compiler: the
-	// PCP maintains a tuple-space classifier compiled per policy epoch
-	// (internal/core/policy/classifier), serves admission queries from it,
-	// and turns each epoch-to-epoch rule delta into a minimal set of flow
-	// mods — O(changed rules), not O(rules) — instead of the legacy
-	// cookie-scoped delete list (see delta.go).
-	DeltaCompilation bool
-	// ProactivePush additionally pushes exact-match table-0 allow rules at
-	// rule-insert and binding-change time for entities whose identifier
-	// chains are fully bound, so steady-state traffic on those flows
-	// generates zero packet-ins (see proactive.go for the safety
-	// invariants). Implies DeltaCompilation.
-	ProactivePush bool
-	// ProactiveMaxFlows caps how many proactive flow entries one policy
-	// rule may expand into across all switches (default 128); rules whose
-	// binding fan-out exceeds the cap stay partially reactive.
-	ProactiveMaxFlows int
 	// AllowIdleTimeoutSec/DenyIdleTimeoutSec bound rule lifetime so
 	// tables do not grow without bound; policy changes are handled by
 	// cookie-scoped flushes, not timeouts (default 300/30).
@@ -175,16 +156,6 @@ type Metrics struct {
 	cacheMisses *obs.Counter
 	cacheStale  *obs.Counter
 	workersBusy *obs.Gauge
-
-	deltaCompiles    *obs.Counter
-	deltaAdded       *obs.Counter
-	deltaRemoved     *obs.Counter
-	deltaChanged     *obs.Counter
-	deltaModAdds     *obs.Counter
-	deltaModDeletes  *obs.Counter
-	proactivePushed  *obs.Counter
-	proactiveRemoved *obs.Counter
-	proactiveMisses  *obs.Counter
 }
 
 // Processed returns the number of requests fully processed.
@@ -214,23 +185,6 @@ func (m *Metrics) CacheStale() uint64 { return m.cacheStale.Value() }
 // WorkersBusy returns the number of workers currently processing a request.
 func (m *Metrics) WorkersBusy() int64 { return m.workersBusy.Value() }
 
-// DeltaCompiles returns how many non-empty epoch deltas were compiled.
-func (m *Metrics) DeltaCompiles() uint64 { return m.deltaCompiles.Value() }
-
-// DeltaFlowMods returns the flow mods emitted by delta flushes, split into
-// adds (proactive installs) and deletes.
-func (m *Metrics) DeltaFlowMods() (adds, deletes uint64) {
-	return m.deltaModAdds.Value(), m.deltaModDeletes.Value()
-}
-
-// ProactivePushed returns how many proactive table-0 entries were installed.
-func (m *Metrics) ProactivePushed() uint64 { return m.proactivePushed.Value() }
-
-// ProactiveMisses returns admissions whose deciding rule had proactive
-// entries installed — packet-ins that proactive coverage should have
-// absorbed (a miss means the flow fell outside the concretized entries).
-func (m *Metrics) ProactiveMisses() uint64 { return m.proactiveMisses.Value() }
-
 // PCP is the Policy Compilation Point.
 type PCP struct {
 	cfg     Config
@@ -250,22 +204,6 @@ type PCP struct {
 	mu       sync.RWMutex
 	switches map[uint64]SwitchClient
 	started  bool
-
-	// deltaMu serializes delta compilation, proactive recomputation and
-	// their flow-mod emission, so the causal order "classifier published →
-	// switch writes issued" holds per epoch and reordered flush callbacks
-	// collapse into no-ops (see delta.go). Never held while acquiring mu's
-	// write side; mu's read side is taken under it.
-	deltaMu  sync.Mutex
-	compiled atomic.Pointer[classifier.Compiled]
-
-	// proactiveFlows is the authoritative proactive derivation: the entry
-	// set each rule currently expands to (switches hold the dpid-scoped
-	// subsets). Kept so re-derivation can diff old against new sets — and
-	// skip emission when nothing changed — and so attach-time population
-	// and the proactive-miss metric know what is meant to be installed.
-	proactiveMu    sync.Mutex
-	proactiveFlows map[policy.RuleID][]proactiveFlow
 }
 
 // ErrNotRunning reports a Submit on a PCP that was not started.
@@ -292,14 +230,6 @@ func New(cfg Config) *PCP {
 	if cfg.FlushFanOut <= 0 {
 		cfg.FlushFanOut = 8
 	}
-	if cfg.ProactivePush {
-		// Proactive entries are keyed and revoked through the compiled
-		// classifier's delta stream.
-		cfg.DeltaCompilation = true
-	}
-	if cfg.ProactiveMaxFlows <= 0 {
-		cfg.ProactiveMaxFlows = 128
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.Real{}
 	}
@@ -317,8 +247,6 @@ func New(cfg Config) *PCP {
 		queue:       make(chan *Request, cfg.QueueDepth),
 		stop:        make(chan struct{}),
 		switches:    make(map[uint64]SwitchClient),
-
-		proactiveFlows: make(map[policy.RuleID][]proactiveFlow),
 	}
 	if cfg.FlowCacheSize >= 0 {
 		size := cfg.FlowCacheSize
@@ -355,32 +283,6 @@ func New(cfg Config) *PCP {
 	reg.GaugeFunc("dfi_pcp_queue_depth",
 		"Admission requests waiting in the bounded queue.",
 		func() float64 { return float64(len(p.queue)) })
-	p.metrics.deltaCompiles = reg.Counter("dfi_pcp_delta_compiles_total",
-		"Non-empty policy epoch deltas compiled (delta-compilation mode).")
-	deltaRules := reg.CounterVec("dfi_pcp_delta_rules_total",
-		"Rules in compiled epoch deltas, by kind of change.", "kind")
-	p.metrics.deltaAdded = deltaRules.With("added")
-	p.metrics.deltaRemoved = deltaRules.With("removed")
-	p.metrics.deltaChanged = deltaRules.With("changed")
-	deltaMods := reg.CounterVec("dfi_pcp_delta_flowmods_total",
-		"Flow mods emitted by delta flushes and proactive recomputation, by command.", "kind")
-	p.metrics.deltaModAdds = deltaMods.With("add")
-	p.metrics.deltaModDeletes = deltaMods.With("delete")
-	proactive := reg.CounterVec("dfi_pcp_proactive_rules_total",
-		"Proactive table-0 entries installed and removed.", "kind")
-	p.metrics.proactivePushed = proactive.With("pushed")
-	p.metrics.proactiveRemoved = proactive.With("removed")
-	p.metrics.proactiveMisses = reg.Counter("dfi_pcp_proactive_misses_total",
-		"Packet-in admissions decided by a rule that has proactive entries installed (coverage misses).")
-	if cfg.DeltaCompilation {
-		// Prime the classifier at the current epoch so the first mutation
-		// diffs against a real baseline instead of reporting every
-		// pre-existing rule as added.
-		p.compiled.Store(classifier.Compile(cfg.Policy.Snapshot()))
-	}
-	if cfg.ProactivePush {
-		cfg.Entity.SetChangeFunc(p.OnBindingChange)
-	}
 	cfg.Policy.SetFlushFunc(p.FlushPolicies)
 	return p
 }
@@ -415,18 +317,11 @@ func (p *PCP) Stop() {
 	p.mu.Unlock()
 }
 
-// AttachSwitch registers the write path for one switch's table 0. With
-// proactive push enabled, the current proactive entry set scoped to the
-// switch is installed in one batch before AttachSwitch returns, so an
-// attaching (or re-attaching) switch starts with its table-0 allow rules
-// resident.
+// AttachSwitch registers the write path for one switch's table 0.
 func (p *PCP) AttachSwitch(dpid uint64, client SwitchClient) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.switches[dpid] = client
-	p.mu.Unlock()
-	if p.cfg.ProactivePush {
-		p.populateSwitch(dpid, client)
-	}
 }
 
 // DetachSwitch removes a switch.
@@ -532,6 +427,10 @@ func (p *PCP) worker() {
 // CompileFlowMod (the miss path) pay the enrichment/compile allocations
 // deliberately and are not annotated.
 //
+// A policy mutation may publish and flush between the decision and the
+// install; Process re-reads the policy epoch after installing and, if it
+// moved, hands the installed entry to recheck.
+//
 //dfi:hotpath
 func (p *PCP) Process(req *Request) {
 	start := p.cfg.Clock.Now()
@@ -554,6 +453,8 @@ func (p *PCP) Process(req *Request) {
 	}
 	var dec Decision
 	var fv *policy.FlowView
+	// policyEpoch is the policy epoch dec was decided under.
+	var policyEpoch uint64
 	hit := false
 	if kerr != nil {
 		dec = Decision{Err: kerr}
@@ -569,8 +470,9 @@ func (p *PCP) Process(req *Request) {
 		p.cfg.Entity.BindMACLocation(key.EthSrc, entity.Location{DPID: req.DPID, Port: inPort})
 
 		ck := cacheKey{dpid: req.DPID, inPort: inPort, key: key}
+		policyEpoch = p.cfg.Policy.Epoch()
 		if p.cache != nil {
-			d, ok, stale := p.cache.lookup(ck, p.cfg.Policy.Epoch(), p.cfg.Entity.Epoch())
+			d, ok, stale := p.cache.lookup(ck, policyEpoch, p.cfg.Entity.Epoch())
 			if ok {
 				dec, hit = d, true
 				p.metrics.cacheHits.Inc()
@@ -580,7 +482,7 @@ func (p *PCP) Process(req *Request) {
 		}
 		if !hit {
 			p.metrics.cacheMisses.Inc()
-			var policyEpoch, entityEpoch uint64
+			var entityEpoch uint64
 			var bindDur, polDur time.Duration
 			dec, fv, policyEpoch, entityEpoch, bindDur, polDur = p.decide(req, key, inPort)
 			if sampled {
@@ -595,7 +497,9 @@ func (p *PCP) Process(req *Request) {
 	if sampled {
 		tInstall = p.cfg.Clock.Now()
 	}
-	p.install(req, dec, fv, key)
+	if installed, match := p.install(req, dec, fv, key); installed && p.cfg.Policy.Epoch() != policyEpoch {
+		p.recheck(req, key, dec, match)
+	}
 	end := p.cfg.Clock.Now()
 	p.metrics.Total.Add(end.Sub(start))
 	p.metrics.processed.Inc()
@@ -752,7 +656,7 @@ func (p *PCP) decide(req *Request, key netpkt.FlowKey, inPort uint32) (dec Decis
 	fv = flowView(key, inPort, req.DPID, srcRes, dstRes, p.cfg.Entity)
 
 	tPolicy := p.cfg.Clock.Now()
-	pd := p.queryPolicy(fv)
+	pd := p.cfg.Policy.Query(fv)
 	polDur = p.cfg.Clock.Now().Sub(tPolicy)
 	p.metrics.PolicyQuery.Add(polDur)
 
@@ -761,42 +665,19 @@ func (p *PCP) decide(req *Request, key netpkt.FlowKey, inPort uint32) (dec Decis
 		ruleID = pd.Rule.ID
 	}
 	dec = Decision{Allow: pd.Action == policy.ActionAllow, RuleID: ruleID}
-	if p.cfg.ProactivePush && dec.Allow {
-		// A packet-in decided by a rule with proactive entries installed is
-		// a coverage miss: the flow fell outside the concretized entries.
-		p.proactiveMu.Lock()
-		covered := len(p.proactiveFlows[ruleID]) > 0
-		p.proactiveMu.Unlock()
-		if covered {
-			p.metrics.proactiveMisses.Inc()
-		}
-	}
 	return dec, fv, pd.Epoch, entityEpoch, bindDur, polDur
-}
-
-// queryPolicy answers the policy query for one enriched flow. With delta
-// compilation on and the compiled classifier current, the lookup runs
-// against the tuple-space structure — no simulated store round-trip, no
-// linear bucket scans; otherwise (classifier trailing inside a flush
-// window, or the feature off) it falls back to the Manager's snapshot
-// query.
-func (p *PCP) queryPolicy(fv *policy.FlowView) policy.Decision {
-	if p.cfg.DeltaCompilation {
-		if c := p.compiled.Load(); c != nil && c.Epoch() == p.cfg.Policy.Epoch() {
-			return c.Lookup(fv)
-		}
-	}
-	return p.cfg.Policy.Query(fv)
 }
 
 // install compiles and installs the flow rule implementing dec for req's
 // packet, charging the PCP's remaining processing cost. fv is nil for
 // decisions served from the flow-decision cache; those install the exact
 // match (wildcard widening needs the enriched view and a policy walk —
-// exactly the work the cache exists to skip).
+// exactly the work the cache exists to skip). It reports whether a rule
+// was written and, for fresh decisions, the match it was written with
+// (nil for the exact match of a cache hit, which lives in a pooled buffer).
 //
 //dfi:hotpath
-func (p *PCP) install(req *Request, dec Decision, fv *policy.FlowView, key netpkt.FlowKey) {
+func (p *PCP) install(req *Request, dec Decision, fv *policy.FlowView, key netpkt.FlowKey) (installed bool, match *openflow.Match) {
 	tOther := p.cfg.Clock.Now()
 	// Deferred closures are open-coded and stay on the stack (the
 	// TestAdmissionHotPathZeroAlloc gate proves 0 B/op through here).
@@ -809,11 +690,11 @@ func (p *PCP) install(req *Request, dec Decision, fv *policy.FlowView, key netpk
 		// Unevaluable packets are denied without installing a rule: the
 		// identifiers are untrustworthy, so a cached rule keyed on them
 		// would be wrong.
-		return
+		return false, nil
 	}
 	client := p.client(req.DPID)
 	if client == nil {
-		return
+		return false, nil
 	}
 	if fv != nil {
 		// Fresh decision: the enriched view enables wildcard widening, and
@@ -822,7 +703,7 @@ func (p *PCP) install(req *Request, dec Decision, fv *policy.FlowView, key netpk
 		fm := p.CompileFlowMod(key, req.PacketIn.InPort(), dec)
 		fm.Match = p.compileCachedMatch(key, req.PacketIn.InPort(), fv, dec)
 		_ = client.WriteFlowMod(fm)
-		return
+		return true, fm.Match
 	}
 	// Cache-hit fast path: compile the exact match into a pooled buffer so
 	// the admission path allocates nothing. Safe because SwitchClient
@@ -831,6 +712,51 @@ func (p *PCP) install(req *Request, dec Decision, fv *policy.FlowView, key netpk
 	cb.fill(p, key, req.PacketIn.InPort(), dec)
 	_ = client.WriteFlowMod(&cb.fm)
 	p.compilePool.Put(cb)
+	return true, nil
+}
+
+// recheck keeps an admission that raced a policy mutation from leaving a
+// stale entry behind. Nothing orders Process's decide→install against
+// FlushPolicies, so a mutation can publish after dec was decided and flush
+// before install wrote; the flush never saw the entry. recheck decides
+// again against the current snapshot until the epoch holds still, and only
+// if the answer differs — in action, or in deciding rule, since the entry's
+// cookie must name a rule whose later flush will reach it — strict-deletes
+// the entry install wrote (match is nil for the exact match), so the flow's
+// next packet re-enters admission. An epoch change alone is no reason to
+// retract: a mutation that left this flow's decision alone (the second
+// rule of a quarantine template, say) must not evict the first rule's
+// freshly installed deny.
+func (p *PCP) recheck(req *Request, key netpkt.FlowKey, dec Decision, match *openflow.Match) {
+	inPort := req.PacketIn.InPort()
+	var cur Decision
+	for {
+		var epoch uint64
+		cur, _, epoch, _, _, _ = p.decide(req, key, inPort)
+		if cur.Err != nil || epoch == p.cfg.Policy.Epoch() {
+			break
+		}
+	}
+	if cur.Err == nil && cur.Allow == dec.Allow && cur.RuleID == dec.RuleID {
+		return
+	}
+	client := p.client(req.DPID)
+	if client == nil {
+		return
+	}
+	if match == nil {
+		match = openflow.ExactMatchFor(key, inPort)
+	}
+	_ = client.WriteFlowMod(&openflow.FlowMod{
+		Cookie:     uint64(dec.RuleID),
+		CookieMask: ^uint64(0),
+		TableID:    0,
+		Command:    openflow.FlowModDeleteStrict,
+		Priority:   p.cfg.RulePriority,
+		OutPort:    openflow.PortAny,
+		OutGroup:   0xffffffff,
+		Match:      match,
+	})
 }
 
 // gotoTable1 is the shared allow instruction: every admitted flow continues
@@ -947,14 +873,8 @@ func (p *PCP) CompileFlowMod(key netpkt.FlowKey, inPort uint32, dec Decision) *o
 // derived from the given policy ids (cookie-scoped delete). The Policy
 // Manager invokes this on every mutation, passing the mutation's span
 // context so the compilation and each switch's flow-mod writes land in the
-// same causal trace. With delta compilation enabled the ids are ignored:
-// the epoch-to-epoch classifier diff derives the (strictly smaller) set of
-// flow mods itself (see flushDelta).
+// same causal trace.
 func (p *PCP) FlushPolicies(sc obs.SpanContext, ids []policy.RuleID) {
-	if p.cfg.DeltaCompilation {
-		p.flushDelta(sc)
-		return
-	}
 	if len(ids) == 0 {
 		// A mutation that invalidates no derived flow rules (a
 		// non-overlapping insert) compiles no deletes and writes nothing.

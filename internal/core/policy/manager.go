@@ -33,10 +33,9 @@ type Decision struct {
 // FlushFunc is notified after every policy mutation with the ids of policy
 // rules whose derived flow rules must be removed from the switches (paper
 // §III-B: on conflicting insert and on revocation). The ids slice may be
-// empty — an insert that conflicts with nothing still advances the epoch,
-// and delta-compiling consumers need to observe every epoch. The PCP
-// registers one of these. sc is the span context of the mutation that
-// triggered the flush (zero when the mutation was untraced), so flush
+// empty: an insert that conflicts with nothing still advances the epoch.
+// The PCP registers one of these. sc is the span context of the mutation
+// that triggered the flush (zero when the mutation was untraced), so flush
 // compilation and the resulting flow-mod writes join the mutation's causal
 // trace.
 type FlushFunc func(sc obs.SpanContext, ids []RuleID)
@@ -195,9 +194,11 @@ func (m *Manager) RegisterPDP(name string, priority int) error {
 }
 
 // Insert stores a new policy rule from a PDP, assigning its id and
-// priority. Existing lower-priority rules that overlap the new rule with a
-// different action may have produced now-stale flow rules; their derived
-// rules are flushed (the conflicting policies themselves remain stored).
+// priority. Existing rules that overlap the new rule with a different
+// action and that it now outranks — lower priority, or equal priority when
+// the new rule is a Deny, since Deny wins ties — may have produced
+// now-stale flow rules; their derived rules are flushed (the conflicting
+// policies themselves remain stored).
 func (m *Manager) Insert(r Rule) (RuleID, error) {
 	return m.InsertCtx(obs.SpanContext{}, r)
 }
@@ -222,7 +223,9 @@ func (m *Manager) InsertCtx(sc obs.SpanContext, r Rule) (RuleID, error) {
 
 	var flush []RuleID
 	for _, existing := range m.rules {
-		if existing.Priority < r.Priority && existing.Action != r.Action && existing.Overlaps(&r) {
+		outranked := existing.Priority < r.Priority ||
+			(existing.Priority == r.Priority && r.Action == ActionDeny)
+		if outranked && existing.Action != r.Action && existing.Overlaps(&r) {
 			flush = append(flush, existing.ID)
 		}
 	}

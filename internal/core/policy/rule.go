@@ -133,8 +133,8 @@ type Rule struct {
 	// Origin is an optional provenance tag set by whoever emitted the
 	// rule — the policy-language compiler records the source line and the
 	// group member or template instance that produced the rule. It is
-	// metadata only: matching, overlap checks and the delta compiler's
-	// rule identity ignore it.
+	// metadata only: matching, overlap checks and the policy verifier's
+	// rule signatures ignore it.
 	Origin string
 }
 

@@ -60,12 +60,6 @@ func (s *stack) closeSwitchConn() {
 }
 
 func newStack(t *testing.T) *stack {
-	return newStackCfg(t, nil)
-}
-
-// newStackCfg wires a stack with an optional PCP config mutation, so tests
-// can flip knobs like ProactivePush before the switch handshakes.
-func newStackCfg(t *testing.T, mut func(*pcp.Config)) *stack {
 	t.Helper()
 	s := &stack{
 		pm:  policy.NewManager(),
@@ -73,11 +67,7 @@ func newStackCfg(t *testing.T, mut func(*pcp.Config)) *stack {
 		ctl: controller.New(controller.Config{}),
 		rx:  make(map[uint32]chan []byte),
 	}
-	cfg := pcp.Config{Entity: s.erm, Policy: s.pm, Workers: 2}
-	if mut != nil {
-		mut(&cfg)
-	}
-	s.pcp = pcp.New(cfg)
+	s.pcp = pcp.New(pcp.Config{Entity: s.erm, Policy: s.pm, Workers: 2})
 	s.pcp.Start()
 	t.Cleanup(s.pcp.Stop)
 

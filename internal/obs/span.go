@@ -54,7 +54,7 @@ type Span struct {
 	Parent uint64
 	// Component and Stage say who did what: ("bus","publish"),
 	// ("entity","binding_update"), ("policy","revoke"),
-	// ("pcp","flush_compile"), ("pcp","delta_compile"),
+	// ("pcp","flush_compile"),
 	// ("proxy","flow_mod_write"), ("pcp","admission") and its child
 	// stages, ...
 	Component string

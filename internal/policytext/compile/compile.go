@@ -9,8 +9,8 @@
 // atomically and, for runtime events — group membership churn, template
 // instantiation, temporal window transitions — recomputes only the
 // affected statements and feeds the minimal insert/revoke delta to the
-// manager, so the change rides the classifier's O(changed) flush path
-// instead of a delete-and-repopulate.
+// manager, so only the changed rules' cookies are flushed instead of a
+// delete-and-repopulate.
 package compile
 
 import (

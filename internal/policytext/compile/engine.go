@@ -17,8 +17,8 @@ import (
 // lowering keyed by stable content identity, so every operation — a full
 // SetSource, a group-membership change, a template instantiation, a
 // temporal window opening — applies only the insert/revoke delta: rules
-// whose definition is unchanged keep their RuleID, and the classifier's
-// delta compiler sees an O(changed) epoch diff.
+// whose definition is unchanged keep their RuleID, so their installed flow
+// rules (tagged with that id as cookie) survive the change.
 //
 // All methods are safe for concurrent use.
 type Engine struct {

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"github.com/dfi-sdn/dfi/internal/core/policy"
-	"github.com/dfi-sdn/dfi/internal/core/policy/classifier"
 	"github.com/dfi-sdn/dfi/internal/policytext"
 	"github.com/dfi-sdn/dfi/internal/policytext/compile"
 )
@@ -111,8 +110,8 @@ type vrule struct {
 	via    string
 	window policytext.Window
 	bits   *weekBits
-	mask   classifier.Mask
-	key    classifier.Key
+	mask   fieldMask
+	key    tupleKey
 }
 
 // lowerAll expands every statement window-ungated, plus every template
@@ -145,7 +144,7 @@ func lowerAll(doc *policytext.Document, wc *windowCache) []*vrule {
 				window: rs.Window,
 				bits:   wc.get(rs.Window),
 			}
-			v.mask, v.key = classifier.Signature(&v.rule)
+			v.mask, v.key = ruleKey(&v.rule)
 			out = append(out, v)
 		}
 	}
@@ -170,19 +169,19 @@ func lowerAll(doc *policytext.Document, wc *windowCache) []*vrule {
 }
 
 // covererIndex groups rules by (mask, key) so finding every rule whose
-// match set contains a given rule's is one Project + one map probe per
+// match set contains a given rule's is one project + one map probe per
 // distinct mask, instead of a quadratic pairwise scan.
 type covererIndex struct {
-	masks  []classifier.Mask
-	byMask map[classifier.Mask]map[classifier.Key][]*vrule
+	masks  []fieldMask
+	byMask map[fieldMask]map[tupleKey][]*vrule
 }
 
 func buildIndex(rules []*vrule) *covererIndex {
-	ix := &covererIndex{byMask: map[classifier.Mask]map[classifier.Key][]*vrule{}}
+	ix := &covererIndex{byMask: map[fieldMask]map[tupleKey][]*vrule{}}
 	for _, v := range rules {
 		slot := ix.byMask[v.mask]
 		if slot == nil {
-			slot = map[classifier.Key][]*vrule{}
+			slot = map[tupleKey][]*vrule{}
 			ix.byMask[v.mask] = slot
 			ix.masks = append(ix.masks, v.mask)
 		}
@@ -197,10 +196,10 @@ func buildIndex(rules []*vrule) *covererIndex {
 func (ix *covererIndex) coverersOf(v *vrule) []*vrule {
 	var out []*vrule
 	for _, m := range ix.masks {
-		if !m.SubsetOf(v.mask) {
+		if !m.subsetOf(v.mask) {
 			continue
 		}
-		k, ok := classifier.Project(&v.rule, m)
+		k, ok := project(&v.rule, m)
 		if !ok {
 			continue
 		}

@@ -2,10 +2,10 @@
 // the policy-level counterpart of dfilint. It runs over the window-ungated
 // lowering of every statement (compile.LowerStmt) plus template bodies
 // instantiated with placeholder arguments, and reasons about match-set
-// containment with the classifier's tuple signatures: with exact-value
+// containment with rule signatures (signature.go): with exact-value
 // fields only, rule A matches everything rule B matches iff A constrains a
 // subset of B's fields and B's values projected onto that subset equal
-// A's probe key. Temporal windows are compared as minute-granular
+// A's key. Temporal windows are compared as minute-granular
 // week bitmaps, so a rule counts as shadowed only when the union of its
 // coverers' windows contains its own.
 //
