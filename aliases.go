@@ -116,22 +116,6 @@ type (
 	// MetricsRegistry holds a System's instruments and renders them in
 	// Prometheus text exposition format (see System.Metrics, WithMetrics).
 	MetricsRegistry = obs.Registry
-	// AdmissionTrace is one flow's recorded trip through admission:
-	// per-stage durations and the outcome.
-	AdmissionTrace = obs.AdmissionTrace
-	// TraceRing retains the most recent admission traces (see
-	// System.Traces, WithAdmissionTracing).
-	TraceRing = obs.TraceRing
-	// TraceOutcome is an admission trace's disposition.
-	TraceOutcome = obs.Outcome
-)
-
-// Admission trace outcomes.
-const (
-	OutcomeAllow        = obs.OutcomeAllow
-	OutcomeDeny         = obs.OutcomeDeny
-	OutcomeError        = obs.OutcomeError
-	OutcomeOverloadDrop = obs.OutcomeOverloadDrop
 )
 
 // NewMetricsRegistry returns an empty metrics registry for WithMetrics.

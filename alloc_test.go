@@ -2,10 +2,12 @@ package dfi_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"testing"
 
+	dfi "github.com/dfi-sdn/dfi"
 	"github.com/dfi-sdn/dfi/internal/core/entity"
 	"github.com/dfi-sdn/dfi/internal/core/pcp"
 	"github.com/dfi-sdn/dfi/internal/core/policy"
@@ -17,9 +19,8 @@ import (
 
 // TestAdmissionHotPathZeroAlloc is the CI gate behind the 0 B/op claim of
 // BenchmarkPCP_AdmissionHotPath/cache-hit: with metrics enabled (the PCP
-// always carries a live registry), a trace ring and span store attached
-// but sampling disabled (every=0), a cache-hit re-admission must not
-// allocate. Tracing compiled in and sampled out must cost nothing.
+// always carries a live registry) and a span store attached, a cache-hit
+// re-admission — its root and stage spans included — must not allocate.
 func TestAdmissionHotPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -32,21 +33,63 @@ func TestAdmissionHotPathZeroAlloc(t *testing.T) {
 	p := pcp.New(pcp.Config{
 		Entity: erm,
 		Policy: pm,
-		Trace:  obs.NewTraceRing(8, 0),
 		Spans:  obs.NewSpanStore(64, nil),
 	})
 	p.AttachSwitch(1, nopSwitch{})
-	req := &pcp.Request{DPID: 1, PacketIn: &openflow.PacketIn{
-		BufferID: openflow.NoBuffer,
-		Reason:   openflow.PacketInReasonNoMatch,
-		Match:    &openflow.Match{InPort: openflow.U32(3)},
-		Data:     benchFrame(),
-	}}
+	req := hotPathRequest()
 	p.Process(req) // prime the decision cache
 
 	if allocs := testing.AllocsPerRun(200, func() { p.Process(req) }); allocs != 0 {
 		t.Fatalf("cache-hit admission allocates %.1f objects/op, want 0", allocs)
 	}
+}
+
+// TestAdmissionZeroAllocAsAssembled runs the same gate on the PCP dfi.New
+// builds — the one dfid serves — so the gate measures what ships: its span
+// store, its registry and its decision cache at their defaults.
+func TestAdmissionZeroAllocAsAssembled(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	sys, err := dfi.New(dfi.WithControllerDialer(func() (io.ReadWriteCloser, error) {
+		return nil, errors.New("no controller")
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	erm := sys.Entity()
+	erm.BindIPMAC(netpkt.MustParseIPv4("10.0.0.1"), netpkt.MustParseMAC("02:00:00:00:00:01"))
+	erm.BindHostIP("h1", netpkt.MustParseIPv4("10.0.0.1"))
+	erm.BindUserHost("alice", "h1")
+	if err := sys.Policy().RegisterPDP("ops", 50); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Policy().Insert(dfi.Rule{PDP: "ops", Action: dfi.ActionAllow,
+		Src: dfi.EndpointSpec{User: "alice"}}); err != nil {
+		t.Fatal(err)
+	}
+	sys.PCP().AttachSwitch(1, nopSwitch{})
+	req := hotPathRequest()
+	sys.PCP().Process(req) // prime the decision cache
+	hits := sys.PCP().Metrics().CacheHits()
+
+	if allocs := testing.AllocsPerRun(200, func() { sys.PCP().Process(req) }); allocs != 0 {
+		t.Fatalf("cache-hit admission as dfi.New assembles it allocates %.1f objects/op, want 0", allocs)
+	}
+	if sys.PCP().Metrics().CacheHits() == hits {
+		t.Fatal("the measured admissions missed the decision cache")
+	}
+}
+
+// hotPathRequest is a packet-in for the flow the zero-alloc gates re-admit.
+func hotPathRequest() *pcp.Request {
+	return &pcp.Request{DPID: 1, PacketIn: &openflow.PacketIn{
+		BufferID: openflow.NoBuffer,
+		Reason:   openflow.PacketInReasonNoMatch,
+		Match:    &openflow.Match{InPort: openflow.U32(3)},
+		Data:     benchFrame(),
+	}}
 }
 
 // TestWireEncodeZeroAlloc gates the append-style OpenFlow encoder: a
@@ -165,16 +208,10 @@ func TestAdmissionZeroAllocWithLanguagePolicy(t *testing.T) {
 	p := pcp.New(pcp.Config{
 		Entity: erm,
 		Policy: pm,
-		Trace:  obs.NewTraceRing(8, 0),
 		Spans:  obs.NewSpanStore(64, nil),
 	})
 	p.AttachSwitch(1, nopSwitch{})
-	req := &pcp.Request{DPID: 1, PacketIn: &openflow.PacketIn{
-		BufferID: openflow.NoBuffer,
-		Reason:   openflow.PacketInReasonNoMatch,
-		Match:    &openflow.Match{InPort: openflow.U32(3)},
-		Data:     benchFrame(),
-	}}
+	req := hotPathRequest()
 	p.Process(req) // prime the decision cache
 
 	if allocs := testing.AllocsPerRun(200, func() { p.Process(req) }); allocs != 0 {

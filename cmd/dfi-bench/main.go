@@ -8,12 +8,10 @@
 //	dfi-bench -experiment fig4 -quick    # reduced sweep for a fast look
 //	dfi-bench -experiment table1 -native # this implementation's raw speed
 //
-// Campus-scale scenario telemetry (BENCH_scenarios.json trajectories):
+// Campus-scale scenarios, each a pass/fail SLO verdict table:
 //
-//	dfi-bench -scenario all -quick -json                 # every hostile workload, CI scale
-//	dfi-bench -scenario revocation-storm -json           # one scenario, full scale
-//	dfi-bench -scenario all -quick -json -baseline BENCH_scenarios.json
-//	                                                     # fail on SLO regression
+//	dfi-bench -scenario all -quick             # every hostile workload, reduced campus
+//	dfi-bench -scenario revocation-storm       # one scenario, full scale
 package main
 
 import (
@@ -36,12 +34,10 @@ func main() {
 		quick      = flag.Bool("quick", false, "reduced sample counts and sweeps")
 		outDir     = flag.String("o", "", "also write machine-readable .tsv files to this directory")
 		scenName   = flag.String("scenario", "", "run a campus-scale scenario instead of a paper experiment: "+strings.Join(scenario.Names(), "|")+"|all")
-		jsonOut    = flag.Bool("json", false, "with -scenario: emit the BENCH_scenarios.json document (to -o dir or the working directory)")
-		baseline   = flag.String("baseline", "", "with -scenario: committed BENCH_scenarios.json to gate against; any SLO that passed there must still pass")
 	)
 	flag.Parse()
 	if *scenName != "" {
-		if err := runScenarios(*scenName, *seed, *quick, *jsonOut, *outDir, *baseline); err != nil {
+		if err := runScenarios(*scenName, *seed, *quick); err != nil {
 			fmt.Fprintln(os.Stderr, "dfi-bench:", err)
 			os.Exit(1)
 		}

@@ -1,85 +1,23 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"os/exec"
-	"path/filepath"
-	"strings"
 
 	"github.com/dfi-sdn/dfi/internal/scenario"
 )
 
-// SchemaVersion identifies the BENCH_scenarios.json document layout.
-// Consumers (the CI gate, trend dashboards) must reject unknown schemas
-// rather than guess.
-const SchemaVersion = "dfi.bench.scenarios/v1"
-
-// benchDoc is the trajectory document one scenario run emits.
-type benchDoc struct {
-	Schema    string             `json:"schema"`
-	GitRev    string             `json:"git_rev"`
-	Seed      int64              `json:"seed"`
-	Quick     bool               `json:"quick"`
-	Scenarios []*scenario.Result `json:"scenarios"`
-}
-
-// gitRev best-efforts the current commit for provenance; trajectories from
-// a non-git tree are stamped "unknown".
-func gitRev() string {
-	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
-}
-
-// runScenarios runs the named scenario (or "all"), renders verdicts, writes
-// BENCH_scenarios.json when asked, and enforces the baseline gate.
-func runScenarios(name string, seed int64, quick, jsonOut bool, outDir, baselinePath string) error {
+// runScenarios runs the named scenario (or "all") and prints the verdict
+// table; any violated SLO fails the run.
+func runScenarios(name string, seed int64, quick bool) error {
 	results, err := scenario.RunByName(name, scenario.Config{Seed: seed, Quick: quick})
 	if err != nil {
 		return err
 	}
-	doc := benchDoc{
-		Schema:    SchemaVersion,
-		GitRev:    gitRev(),
-		Seed:      seed,
-		Quick:     quick,
-		Scenarios: results,
-	}
-
-	if jsonOut {
-		blob, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		blob = append(blob, '\n')
-		path := filepath.Join(outDir, "BENCH_scenarios.json")
-		if outDir != "" {
-			if err := os.MkdirAll(outDir, 0o755); err != nil {
-				return err
-			}
-		}
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			return err
-		}
-		os.Stdout.Write(blob)
-		fmt.Fprintln(os.Stderr, "wrote", path)
-	} else {
-		renderScenarios(results)
-	}
-
+	renderScenarios(results)
 	failed := 0
 	for _, res := range results {
 		if !res.Passed() {
 			failed++
-		}
-	}
-	if baselinePath != "" {
-		if err := compareBaseline(baselinePath, results); err != nil {
-			return err
 		}
 	}
 	if failed > 0 {
@@ -131,60 +69,4 @@ func secs(v float64) string {
 	default:
 		return fmt.Sprintf("%.0fµs", v*1e6)
 	}
-}
-
-// compareBaseline enforces the SLO regression gate: every scenario SLO that
-// passed in the committed baseline must still pass in this run. New
-// scenarios and new gates are allowed; losing one is not.
-func compareBaseline(path string, results []*scenario.Result) error {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	var base benchDoc
-	if err := json.Unmarshal(blob, &base); err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
-	}
-	if base.Schema != SchemaVersion {
-		return fmt.Errorf("baseline %s: schema %q, want %q", path, base.Schema, SchemaVersion)
-	}
-	current := make(map[string]*scenario.Result, len(results))
-	for _, res := range results {
-		current[res.Scenario] = res
-	}
-	var regressions []string
-	for _, bres := range base.Scenarios {
-		cres, ok := current[bres.Scenario]
-		if !ok {
-			// The run was scoped to a subset; only compare what ran.
-			continue
-		}
-		for _, bslo := range bres.SLOs {
-			if !bslo.Pass {
-				continue
-			}
-			found := false
-			for _, cslo := range cres.SLOs {
-				if cslo.Name == bslo.Name {
-					found = true
-					if !cslo.Pass {
-						regressions = append(regressions, fmt.Sprintf(
-							"%s/%s: actual=%g threshold=%g (baseline passed at %g)",
-							bres.Scenario, cslo.Name, cslo.Actual, cslo.Threshold, bslo.Actual))
-					}
-				}
-			}
-			if !found {
-				regressions = append(regressions, fmt.Sprintf(
-					"%s/%s: gate present in baseline but missing from this run",
-					bres.Scenario, bslo.Name))
-			}
-		}
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("SLO regression vs baseline %s:\n  %s",
-			path, strings.Join(regressions, "\n  "))
-	}
-	fmt.Fprintln(os.Stderr, "baseline gate: no SLO regressions vs", path)
-	return nil
 }

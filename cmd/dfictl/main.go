@@ -9,22 +9,17 @@
 //	dfictl policy diff corp.pol         # rule delta applying it would cause
 //	dfictl policy apply -dry-run corp.pol
 //	dfictl policy apply corp.pol        # atomic document replace
-//	dfictl pdp register ops 50
-//	dfictl allow -pdp ops -src-user alice -dst-host mail   # low-level escape hatch
-//	dfictl deny  -pdp ops -src-host kiosk
-//	dfictl revoke 7
 //	dfictl bind user-host alice alice-laptop
 //	dfictl stats
 //	dfictl metrics
 //	dfictl slo              # service-level-objective verdicts
-//	dfictl trace 20
-//	dfictl spans            # recent spans
+//	dfictl spans            # recent spans, admissions included
 //	dfictl spans 42         # every span of trace 42
 //	dfictl audit 50         # recent audit records
 //	dfictl audit verify     # walk the on-disk hash chain
 //
-// The allow/deny/revoke commands mutate single manager rules imperatively
-// and bypass the policy document; prefer the dfictl policy workflow.
+// Policy changes only through the policy document; rules is a read-only
+// view of what it compiled to.
 package main
 
 import (
@@ -53,7 +48,7 @@ func main() {
 
 func run(client *admin.Client, args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: dfictl policy|rules|allow|deny|revoke|pdp|bind|switches|flows|stats|metrics|slo|trace|spans|audit")
+		return fmt.Errorf("usage: dfictl policy|rules|bind|switches|flows|stats|metrics|slo|spans|audit")
 	}
 	switch args[0] {
 	case "rules":
@@ -70,29 +65,6 @@ func run(client *admin.Client, args []string) error {
 				r.ID, r.Priority, r.Action, r.PDP, endpointString(r.Src), endpointString(r.Dst))
 		}
 		return nil
-
-	case "allow", "deny":
-		return insertRule(client, args[0], args[1:])
-
-	case "revoke":
-		if len(args) != 2 {
-			return fmt.Errorf("usage: dfictl revoke <id>")
-		}
-		id, err := strconv.ParseUint(args[1], 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad id %q: %w", args[1], err)
-		}
-		return client.RevokeRule(id)
-
-	case "pdp":
-		if len(args) != 4 || args[1] != "register" {
-			return fmt.Errorf("usage: dfictl pdp register <name> <priority>")
-		}
-		prio, err := strconv.Atoi(args[3])
-		if err != nil {
-			return fmt.Errorf("bad priority %q: %w", args[3], err)
-		}
-		return client.RegisterPDP(args[2], prio)
 
 	case "bind", "unbind":
 		return bindCmd(client, args)
@@ -204,39 +176,6 @@ func run(client *admin.Client, args []string) error {
 		}
 		return nil
 
-	case "trace":
-		n := 20
-		if len(args) > 2 {
-			return fmt.Errorf("usage: dfictl trace [n]")
-		}
-		if len(args) == 2 {
-			var err error
-			if n, err = strconv.Atoi(args[1]); err != nil || n < 1 {
-				return fmt.Errorf("bad trace count %q", args[1])
-			}
-		}
-		traces, err := client.Traces(n)
-		if err != nil {
-			return err
-		}
-		if len(traces) == 0 {
-			fmt.Println("no traces recorded")
-			return nil
-		}
-		for _, t := range traces {
-			line := fmt.Sprintf("#%-6d sw=%#x in=%-3d %-13s total=%7.1fus (parse %.1f, binding %.1f, policy %.1f, install %.1f, proxy %.1f)",
-				t.Seq, t.DPID, t.InPort, t.Outcome, t.TotalUs,
-				t.ParseUs, t.BindingUs, t.PolicyUs, t.InstallUs, t.ProxyUs)
-			if t.CacheHit {
-				line += " [cache-hit]"
-			}
-			if t.Err != "" {
-				line += " err=" + t.Err
-			}
-			fmt.Println(line + "  " + t.Flow)
-		}
-		return nil
-
 	case "spans":
 		if len(args) > 2 {
 			return fmt.Errorf("usage: dfictl spans [trace-id]")
@@ -267,11 +206,17 @@ func run(client *admin.Client, args []string) error {
 			if sp.DPID != 0 {
 				line += fmt.Sprintf(" sw=%#x", sp.DPID)
 			}
+			if sp.InPort != 0 {
+				line += fmt.Sprintf(" in=%d", sp.InPort)
+			}
 			if sp.RuleID != 0 {
 				line += fmt.Sprintf(" rule=%d", sp.RuleID)
 			}
 			if sp.Detail != "" {
 				line += "  " + sp.Detail
+			}
+			if sp.Flow != "" {
+				line += "  " + sp.Flow
 			}
 			if sp.Err != "" {
 				line += "  err=" + sp.Err
@@ -520,42 +465,6 @@ func deltaRuleString(r admin.RuleJSON) string {
 		s += "  <- " + r.Origin
 	}
 	return s
-}
-
-func insertRule(client *admin.Client, action string, args []string) error {
-	fs := flag.NewFlagSet(action, flag.ContinueOnError)
-	var (
-		pdpName = fs.String("pdp", "", "emitting PDP name (must be registered)")
-		srcUser = fs.String("src-user", "", "source username")
-		srcHost = fs.String("src-host", "", "source hostname")
-		srcIP   = fs.String("src-ip", "", "source IP")
-		dstUser = fs.String("dst-user", "", "destination username")
-		dstHost = fs.String("dst-host", "", "destination hostname")
-		dstIP   = fs.String("dst-ip", "", "destination IP")
-		dstPort = fs.Uint("dst-port", 0, "destination TCP/UDP port (0 = any)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *pdpName == "" {
-		return fmt.Errorf("-pdp is required (register one with: dfictl pdp register <name> <priority>)")
-	}
-	rule := admin.RuleJSON{
-		PDP:    *pdpName,
-		Action: action,
-		Src:    admin.EndpointJSON{User: *srcUser, Host: *srcHost, IP: *srcIP},
-		Dst:    admin.EndpointJSON{User: *dstUser, Host: *dstHost, IP: *dstIP},
-	}
-	if *dstPort != 0 {
-		p := uint16(*dstPort)
-		rule.Dst.Port = &p
-	}
-	id, err := client.InsertRule(rule)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("rule #%d inserted\n", id)
-	return nil
 }
 
 func bindCmd(client *admin.Client, args []string) error {

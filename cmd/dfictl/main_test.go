@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -55,14 +56,10 @@ func capture(t *testing.T, fn func() error) string {
 func TestRoundTripOverV1(t *testing.T) {
 	sys, client := newTestClient(t)
 
-	if err := run(client, []string{"pdp", "register", "ops", "50"}); err != nil {
-		t.Fatal(err)
-	}
-	out := capture(t, func() error {
-		return run(client, []string{"allow", "-pdp", "ops", "-src-user", "alice", "-dst-host", "mail"})
-	})
-	if !strings.Contains(out, "rule #1 inserted") {
-		t.Fatalf("allow output = %q", out)
+	path := writePolicyFile(t, "pdp ops priority 50\nallow from user alice to host mail\n")
+	out := capture(t, func() error { return run(client, []string{"policy", "apply", path}) })
+	if !strings.Contains(out, "1 rule(s) inserted") {
+		t.Fatalf("apply output = %q", out)
 	}
 	out = capture(t, func() error { return run(client, []string{"rules"}) })
 	if !strings.Contains(out, "alice") || !strings.Contains(out, "ops") {
@@ -84,30 +81,43 @@ func TestRoundTripOverV1(t *testing.T) {
 		t.Fatalf("stats output = %q", out)
 	}
 
-	if err := run(client, []string{"revoke", "1"}); err != nil {
-		t.Fatal(err)
-	}
-	// Revoking again must surface the server's enveloped 404.
-	err := run(client, []string{"revoke", "1"})
-	if err == nil || !strings.Contains(err.Error(), "not_found") {
-		t.Fatalf("double revoke error = %v", err)
+	// The per-rule write commands are gone; policy changes only through
+	// the document.
+	for _, cmd := range []string{"allow", "deny", "revoke", "pdp", "trace"} {
+		if err := run(client, []string{cmd}); err == nil || !strings.Contains(err.Error(), "unknown command") {
+			t.Fatalf("dfictl %s error = %v", cmd, err)
+		}
 	}
 }
 
+// TestMetricsAndTraceSubcommands: metrics prints the exposition, spans
+// prints recent spans and one trace's spans by id.
 func TestMetricsAndTraceSubcommands(t *testing.T) {
-	_, client := newTestClient(t)
+	sys, client := newTestClient(t)
 
 	out := capture(t, func() error { return run(client, []string{"metrics"}) })
 	if !strings.Contains(out, "# TYPE dfi_pcp_processed_total counter") {
 		t.Fatalf("metrics output missing exposition:\n%s", out)
 	}
 
-	out = capture(t, func() error { return run(client, []string{"trace"}) })
-	if !strings.Contains(out, "no traces recorded") {
-		t.Fatalf("trace output = %q", out)
+	out = capture(t, func() error { return run(client, []string{"spans"}) })
+	if !strings.Contains(out, "no spans recorded") {
+		t.Fatalf("spans output = %q", out)
 	}
-	if err := run(client, []string{"trace", "banana"}); err == nil {
-		t.Fatal("bad trace count accepted")
+	if _, err := sys.PolicyEngine().SetSource("pdp ops priority 50\nallow from host a\n"); err != nil {
+		t.Fatal(err)
+	}
+	recent := sys.Spans().Last(1)
+	if len(recent) != 1 {
+		t.Fatal("a policy apply committed no span")
+	}
+	trace := strconv.FormatUint(uint64(recent[0].Trace), 10)
+	out = capture(t, func() error { return run(client, []string{"spans", trace}) })
+	if !strings.Contains(out, "trace="+trace) || !strings.Contains(out, "policy") {
+		t.Fatalf("spans %s output = %q", trace, out)
+	}
+	if err := run(client, []string{"spans", "banana"}); err == nil {
+		t.Fatal("bad trace id accepted")
 	}
 }
 
@@ -140,13 +150,14 @@ func TestSLOSubcommand(t *testing.T) {
 	client := admin.NewClient(srv.URL)
 
 	// Drive a few mutations so the TTE histogram has observations.
-	if err := run(client, []string{"pdp", "register", "ops", "50"}); err != nil {
+	if err := sys.Policy().RegisterPDP("ops", 50); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		capture(t, func() error {
-			return run(client, []string{"allow", "-pdp", "ops", "-src-user", "alice", "-dst-host", "mail"})
-		})
+		if _, err := sys.Policy().Insert(dfi.Rule{PDP: "ops", Action: dfi.ActionAllow,
+			Src: dfi.EndpointSpec{User: "alice"}, Dst: dfi.EndpointSpec{Host: "mail"}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	out := capture(t, func() error { return run(client, []string{"slo"}) })

@@ -59,14 +59,7 @@ type config struct {
 	denyIdleSec   uint16
 	externalBus   *bus.Bus
 	wildcardCache bool
-	flowCacheSize int
-	flushFanOut   int
-	statsTimeout  time.Duration
 	metrics       *obs.Registry
-	traceCap      int
-	traceEvery    int
-	traceSet      bool
-	spanCap       int
 	auditPath     string
 	auditMaxBytes int64
 	policySource  string
@@ -143,32 +136,6 @@ func WithRuleTimeouts(allowSec, denySec uint16) Option {
 // reducing control-plane load for flow-dense host pairs.
 func WithWildcardCaching() Option {
 	return func(c *config) { c.wildcardCache = true }
-}
-
-// WithFlowDecisionCache sizes the PCP's flow-decision cache: the LRU that
-// lets a re-admitted flow skip the binding and policy queries while both
-// the policy epoch and the identifier-binding epoch are unchanged, so a
-// cached decision can never outlive a revocation or a binding change.
-// 0 selects the default (4096 entries); negative disables the cache.
-func WithFlowDecisionCache(size int) Option {
-	return func(c *config) { c.flowCacheSize = size }
-}
-
-// WithFlushFanOut bounds how many switches a cookie-scoped policy flush
-// writes to concurrently (default 8). Flushes compile their flow-mods once
-// and fan the per-switch batched writes out on a bounded worker group, so
-// flush latency stays roughly flat in switch count instead of growing
-// linearly; 1 serializes the writes. The flush remains synchronous either
-// way: revocation returns only after every switch was written.
-func WithFlushFanOut(workers int) Option {
-	return func(c *config) { c.flushFanOut = workers }
-}
-
-// WithFlowStatsTimeout bounds how long a DFI-originated flow-stats read
-// (e.g. the quarantine PDP polling switch counters) waits for the
-// switch's multipart reply (default 10s).
-func WithFlowStatsTimeout(d time.Duration) Option {
-	return func(c *config) { c.statsTimeout = d }
 }
 
 // WithPolicySource loads an initial policy document (the policytext
@@ -251,36 +218,6 @@ func WithMetrics(reg *obs.Registry) Option {
 	return func(c *config) { c.metrics = reg }
 }
 
-// WithAdmissionTracing configures the per-flow admission trace ring:
-// capacity bounds how many completed traces are retained (0 selects 256)
-// and every samples one admission in that many (1 traces everything;
-// non-positive disables tracing, making its hot-path cost zero).
-// The default is capacity 512, every 1.
-func WithAdmissionTracing(capacity, every int) Option {
-	return func(c *config) {
-		c.traceCap = capacity
-		c.traceEvery = every
-		c.traceSet = true
-	}
-}
-
-// WithCausalTracing sizes the causal span store: the ring retaining the
-// spans that link a sensor event to its enforcement (bus publish →
-// entity-binding update → policy mutation → flush compilation → proxy
-// flow-mod writes) and a sampled admission to its stages. capacity 0
-// selects the default (2048 spans); a negative capacity disables causal
-// tracing entirely. Admission spans are gated by WithAdmissionTracing's
-// sampling: an admission sampled out emits no spans and allocates
-// nothing.
-func WithCausalTracing(capacity int) Option {
-	return func(c *config) {
-		if capacity == 0 {
-			capacity = 2048
-		}
-		c.spanCap = capacity
-	}
-}
-
 // WithAuditLog enables the tamper-evident enforcement audit log: an
 // append-only, hash-chained JSONL file at path recording every
 // access-control decision and every policy/binding mutation. maxBytes
@@ -304,7 +241,6 @@ type System struct {
 	engine   *compile.Engine
 	proxy    *proxy.Proxy
 	metrics  *obs.Registry
-	traces   *obs.TraceRing
 	spans    *obs.SpanStore
 	audit    *obs.AuditLog
 	slo      *slo.Engine
@@ -336,16 +272,10 @@ func New(opts ...Option) (*System, error) {
 	} else {
 		s.metrics = obs.NewRegistry()
 	}
-	if !cfg.traceSet {
-		cfg.traceCap, cfg.traceEvery = 512, 1
-	}
-	s.traces = obs.NewTraceRing(cfg.traceCap, cfg.traceEvery)
-	if cfg.spanCap >= 0 {
-		// Causal tracing is on by default (admission spans still respect
-		// the trace ring's sampling); WithCausalTracing(-1) disables it.
-		s.spans = obs.NewSpanStore(cfg.spanCap, cfg.clock)
-		s.bus.SetTracer(s.spans)
-	}
+	// The causal span store retains the spans linking a sensor event to its
+	// enforcement and each admission to its stages.
+	s.spans = obs.NewSpanStore(2048, cfg.clock)
+	s.bus.SetTracer(s.spans)
 	if cfg.auditPath != "" {
 		audit, err := obs.OpenAuditLog(cfg.auditPath, cfg.auditMaxBytes)
 		if err != nil {
@@ -379,10 +309,7 @@ func New(opts ...Option) (*System, error) {
 		WildcardCaching:     cfg.wildcardCache,
 		AllowIdleTimeoutSec: cfg.allowIdleSec,
 		DenyIdleTimeoutSec:  cfg.denyIdleSec,
-		FlushFanOut:         cfg.flushFanOut,
-		FlowCacheSize:       cfg.flowCacheSize,
 		Obs:                 s.metrics,
-		Trace:               s.traces,
 		Spans:               s.spans,
 		Audit:               s.audit,
 	})
@@ -424,12 +351,11 @@ func New(opts ...Option) (*System, error) {
 
 	var err error
 	s.proxy, err = proxy.New(proxy.Config{
-		PCP:              s.pcp,
-		DialController:   cfg.dial,
-		Clock:            cfg.clock,
-		Latency:          cfg.proxyLat,
-		Obs:              s.metrics,
-		FlowStatsTimeout: cfg.statsTimeout,
+		PCP:            s.pcp,
+		DialController: cfg.dial,
+		Clock:          cfg.clock,
+		Latency:        cfg.proxyLat,
+		Obs:            s.metrics,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dfi: %w", err)
@@ -516,12 +442,8 @@ func (s *System) Proxy() *proxy.Proxy { return s.proxy }
 // (the one passed to WithMetrics, or the System's private registry).
 func (s *System) Metrics() *obs.Registry { return s.metrics }
 
-// Traces returns the admission trace ring (never nil; disabled rings
-// simply record nothing).
-func (s *System) Traces() *obs.TraceRing { return s.traces }
-
-// Spans returns the causal span store, nil when WithCausalTracing(-1)
-// disabled it (every obs.SpanStore method is nil-safe).
+// Spans returns the causal span store: the bounded ring (2048 spans) of
+// admission, overload-drop and sensor-to-enforcement spans.
 func (s *System) Spans() *obs.SpanStore { return s.spans }
 
 // Audit returns the enforcement audit log, nil unless WithAuditLog

@@ -1,7 +1,8 @@
 // Package admin provides the HTTP/JSON administrative API for a running
-// DFI control plane: inspecting and editing policy rules, registering
-// PDPs, adding identifier bindings and reading statistics. cmd/dfid serves
-// it; cmd/dfictl is its client.
+// DFI control plane: reading and replacing the policy document, inspecting
+// the rules it compiled to, adding identifier bindings and reading
+// statistics, spans and audit records. cmd/dfid serves it; cmd/dfictl is
+// its client.
 package admin
 
 import (
@@ -41,7 +42,6 @@ type ErrorBody struct {
 const (
 	CodeBadRequest       = "bad_request"        // malformed request (unparseable JSON)
 	CodeValidation       = "validation_failed"  // well-formed but semantically invalid
-	CodeConflict         = "conflict"           // duplicate PDP/priority
 	CodeNotFound         = "not_found"          // unknown id or endpoint
 	CodeMethodNotAllowed = "method_not_allowed" // endpoint exists, method does not
 	CodeBadGateway       = "bad_gateway"        // a switch query failed
@@ -117,53 +117,11 @@ type HealthJSON struct {
 	Status   string `json:"status"`
 	Switches int    `json:"switches"`
 	Rules    int    `json:"rules"`
-	// Traces is the total number of admission traces committed so far.
-	Traces uint64 `json:"traces"`
-}
-
-// TraceJSON is the wire form of one admission trace. Stage durations are
-// microseconds, matching the paper's Table II units.
-type TraceJSON struct {
-	Seq       uint64  `json:"seq"`
-	Start     string  `json:"start"`
-	DPID      uint64  `json:"dpid"`
-	InPort    uint32  `json:"inPort"`
-	Flow      string  `json:"flow"`
-	Outcome   string  `json:"outcome"`
-	CacheHit  bool    `json:"cacheHit"`
-	RuleID    uint64  `json:"ruleId"`
-	Err       string  `json:"err,omitempty"`
-	ParseUs   float64 `json:"parseUs"`
-	BindingUs float64 `json:"bindingUs"`
-	PolicyUs  float64 `json:"policyUs"`
-	InstallUs float64 `json:"installUs"`
-	ProxyUs   float64 `json:"proxyUs"`
-	TotalUs   float64 `json:"totalUs"`
-}
-
-func fromTrace(t obs.AdmissionTrace) TraceJSON {
-	us := func(d time.Duration) float64 { return float64(d) / 1e3 }
-	return TraceJSON{
-		Seq:       t.Seq,
-		Start:     t.Start.Format(time.RFC3339Nano),
-		DPID:      t.DPID,
-		InPort:    t.InPort,
-		Flow:      t.Key.String(),
-		Outcome:   t.Outcome.String(),
-		CacheHit:  t.CacheHit,
-		RuleID:    t.RuleID,
-		Err:       t.Err,
-		ParseUs:   us(t.Parse),
-		BindingUs: us(t.Binding),
-		PolicyUs:  us(t.Policy),
-		InstallUs: us(t.Install),
-		ProxyUs:   us(t.Proxy),
-		TotalUs:   us(t.Total),
-	}
 }
 
 // SpanJSON is the wire form of one causal span. Durations are
-// microseconds, matching TraceJSON.
+// microseconds, matching the paper's Table II units. InPort and Flow are
+// set on admission roots: the packet's ingress port and its identifiers.
 type SpanJSON struct {
 	Seq        uint64  `json:"seq"`
 	Trace      uint64  `json:"trace"`
@@ -175,12 +133,14 @@ type SpanJSON struct {
 	DurationUs float64 `json:"durationUs"`
 	DPID       uint64  `json:"dpid,omitempty"`
 	RuleID     uint64  `json:"ruleId,omitempty"`
+	InPort     uint32  `json:"inPort,omitempty"`
+	Flow       string  `json:"flow,omitempty"`
 	Detail     string  `json:"detail,omitempty"`
 	Err        string  `json:"err,omitempty"`
 }
 
 func fromSpan(sp obs.Span) SpanJSON {
-	return SpanJSON{
+	j := SpanJSON{
 		Seq:        sp.Seq,
 		Trace:      uint64(sp.Trace),
 		ID:         sp.ID,
@@ -191,9 +151,14 @@ func fromSpan(sp obs.Span) SpanJSON {
 		DurationUs: float64(sp.Duration) / 1e3,
 		DPID:       sp.DPID,
 		RuleID:     sp.RuleID,
+		InPort:     sp.InPort,
 		Detail:     sp.Detail,
 		Err:        sp.Err,
 	}
+	if sp.Flow != (netpkt.FlowKey{}) {
+		j.Flow = sp.Flow.String()
+	}
+	return j
 }
 
 // AuditVerifyJSON is the /v1/audit/verify body: the outcome of walking
@@ -215,52 +180,6 @@ type BindingJSON struct {
 	MAC  string `json:"mac,omitempty"`
 	// Remove unbinds instead of binding.
 	Remove bool `json:"remove,omitempty"`
-}
-
-func toRule(j RuleJSON) (policy.Rule, error) {
-	r := policy.Rule{PDP: j.PDP}
-	switch j.Action {
-	case "allow":
-		r.Action = policy.ActionAllow
-	case "deny":
-		r.Action = policy.ActionDeny
-	default:
-		return r, fmt.Errorf("admin: bad action %q", j.Action)
-	}
-	r.Props = policy.FlowProperties{EtherType: j.Props.EtherType, IPProto: j.Props.IPProto}
-	var err error
-	if r.Src, err = toEndpoint(j.Src); err != nil {
-		return r, err
-	}
-	if r.Dst, err = toEndpoint(j.Dst); err != nil {
-		return r, err
-	}
-	return r, nil
-}
-
-func toEndpoint(j EndpointJSON) (policy.EndpointSpec, error) {
-	e := policy.EndpointSpec{
-		User:       j.User,
-		Host:       j.Host,
-		Port:       j.Port,
-		SwitchPort: j.SwitchPort,
-		DPID:       j.DPID,
-	}
-	if j.IP != "" {
-		ip, err := netpkt.ParseIPv4(j.IP)
-		if err != nil {
-			return e, fmt.Errorf("admin: %w", err)
-		}
-		e.IP = &ip
-	}
-	if j.MAC != "" {
-		mac, err := netpkt.ParseMAC(j.MAC)
-		if err != nil {
-			return e, fmt.Errorf("admin: %w", err)
-		}
-		e.MAC = &mac
-	}
-	return e, nil
 }
 
 func fromRule(r policy.Rule) RuleJSON {
@@ -313,29 +232,21 @@ func WithPprof() HandlerOption {
 }
 
 // Handler serves the admin API for sys. Every route lives under the
-// versioned /v1/ prefix; the pre-versioning unversioned paths are kept as
-// thin aliases of the same handlers. All error responses — including the
-// mux's own 404s and 405s — carry the ErrorJSON envelope.
+// versioned /v1/ prefix, and policy changes only through the /v1/policy
+// document. All error responses — including the mux's own 404s and 405s —
+// carry the ErrorJSON envelope.
 func Handler(sys *dfi.System, opts ...HandlerOption) http.Handler {
 	var cfg handlerConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
 	mux := http.NewServeMux()
-	// handle registers a /v1 route and its legacy unversioned alias.
-	handle := func(pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, h)
-		mux.HandleFunc(strings.Replace(pattern, "/v1/", "/", 1), h)
-	}
 
-	registerPolicy(handle, sys)
+	registerPolicy(mux, sys)
 
-	// The per-rule endpoints below are the imperative low-level escape
-	// hatch: they mutate single manager rules directly, bypassing the
-	// policy-language document. Prefer the declarative /v1/policy document
-	// API; rules inserted here are not reflected in GET /v1/policy and are
-	// revoked by nothing short of DELETE /v1/rules/{id}.
-	handle("GET /v1/rules", func(w http.ResponseWriter, _ *http.Request) {
+	// A read-only view of every manager rule: the document's compiled rules
+	// plus those in-process PDPs inserted through System.Policy.
+	mux.HandleFunc("GET /v1/rules", func(w http.ResponseWriter, _ *http.Request) {
 		rules := sys.Policy().Rules()
 		out := make([]RuleJSON, 0, len(rules))
 		for _, r := range rules {
@@ -344,64 +255,7 @@ func Handler(sys *dfi.System, opts ...HandlerOption) http.Handler {
 		writeJSON(w, http.StatusOK, out)
 	})
 
-	handle("POST /v1/rules", func(w http.ResponseWriter, r *http.Request) {
-		var j RuleJSON
-		if err := json.NewDecoder(r.Body).Decode(&j); err != nil {
-			httpError(w, http.StatusBadRequest, CodeBadRequest, err)
-			return
-		}
-		rule, err := toRule(j)
-		if err != nil {
-			httpError(w, http.StatusUnprocessableEntity, CodeValidation, err)
-			return
-		}
-		id, err := sys.Policy().Insert(rule)
-		if err != nil {
-			if errors.Is(err, policy.ErrUnknownPDP) {
-				httpError(w, http.StatusUnprocessableEntity, CodeValidation, err)
-			} else {
-				httpError(w, http.StatusConflict, CodeConflict, err)
-			}
-			return
-		}
-		writeJSON(w, http.StatusCreated, map[string]uint64{"id": uint64(id)})
-	})
-
-	handle("DELETE /v1/rules/{id}", func(w http.ResponseWriter, r *http.Request) {
-		id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
-		if err != nil {
-			httpError(w, http.StatusUnprocessableEntity, CodeValidation, err)
-			return
-		}
-		if err := sys.Policy().Revoke(policy.RuleID(id)); err != nil {
-			httpError(w, http.StatusNotFound, CodeNotFound, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-
-	handle("POST /v1/pdps", func(w http.ResponseWriter, r *http.Request) {
-		var j struct {
-			Name     string `json:"name"`
-			Priority int    `json:"priority"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&j); err != nil {
-			httpError(w, http.StatusBadRequest, CodeBadRequest, err)
-			return
-		}
-		if j.Name == "" {
-			httpError(w, http.StatusUnprocessableEntity, CodeValidation,
-				errors.New("admin: pdp name required"))
-			return
-		}
-		if err := sys.Policy().RegisterPDP(j.Name, j.Priority); err != nil {
-			httpError(w, http.StatusConflict, CodeConflict, err)
-			return
-		}
-		w.WriteHeader(http.StatusCreated)
-	})
-
-	handle("POST /v1/bindings", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/bindings", func(w http.ResponseWriter, r *http.Request) {
 		var j BindingJSON
 		if err := json.NewDecoder(r.Body).Decode(&j); err != nil {
 			httpError(w, http.StatusBadRequest, CodeBadRequest, err)
@@ -414,11 +268,11 @@ func Handler(sys *dfi.System, opts ...HandlerOption) http.Handler {
 		w.WriteHeader(http.StatusNoContent)
 	})
 
-	handle("GET /v1/switches", func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("GET /v1/switches", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, sys.PCP().Switches())
 	})
 
-	handle("GET /v1/flows/{dpid}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/flows/{dpid}", func(w http.ResponseWriter, r *http.Request) {
 		dpid, err := strconv.ParseUint(r.PathValue("dpid"), 0, 64)
 		if err != nil {
 			httpError(w, http.StatusUnprocessableEntity, CodeValidation, err)
@@ -450,7 +304,7 @@ func Handler(sys *dfi.System, opts ...HandlerOption) http.Handler {
 		writeJSON(w, http.StatusOK, out)
 	})
 
-	handle("GET /v1/stats", func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, _ *http.Request) {
 		ps := sys.Proxy().Stats()
 		m := sys.PCP().Metrics()
 		writeJSON(w, http.StatusOK, StatsJSON{
@@ -472,46 +326,21 @@ func Handler(sys *dfi.System, opts ...HandlerOption) http.Handler {
 		})
 	})
 
-	handle("GET /v1/metrics", func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = sys.Metrics().WritePrometheus(w)
 	})
 
-	handle("GET /v1/healthz", func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, HealthJSON{
 			Status:   "ok",
 			Switches: len(sys.PCP().Switches()),
 			Rules:    sys.Policy().Len(),
-			Traces:   sys.Traces().Committed(),
 		})
 	})
 
-	handle("GET /v1/trace", func(w http.ResponseWriter, r *http.Request) {
-		n := 64
-		if nq := r.URL.Query().Get("n"); nq != "" {
-			nv, err := strconv.Atoi(nq)
-			if err != nil || nv < 1 {
-				httpError(w, http.StatusUnprocessableEntity, CodeValidation,
-					fmt.Errorf("admin: bad trace count %q", nq))
-				return
-			}
-			n = nv
-		}
-		traces := sys.Traces().Last(n)
-		out := make([]TraceJSON, 0, len(traces))
-		for _, t := range traces {
-			out = append(out, fromTrace(t))
-		}
-		writeJSON(w, http.StatusOK, out)
-	})
-
-	handle("GET /v1/spans", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/spans", func(w http.ResponseWriter, r *http.Request) {
 		spans := sys.Spans()
-		if !spans.Enabled() {
-			httpError(w, http.StatusNotFound, CodeNotFound,
-				errors.New("admin: causal tracing disabled"))
-			return
-		}
 		var got []obs.Span
 		if tq := r.URL.Query().Get("trace"); tq != "" {
 			id, err := strconv.ParseUint(tq, 10, 64)
@@ -541,7 +370,7 @@ func Handler(sys *dfi.System, opts ...HandlerOption) http.Handler {
 		writeJSON(w, http.StatusOK, out)
 	})
 
-	handle("GET /v1/slo", func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("GET /v1/slo", func(w http.ResponseWriter, _ *http.Request) {
 		engine := sys.SLO()
 		if engine == nil {
 			httpError(w, http.StatusNotFound, CodeNotFound,
@@ -551,7 +380,7 @@ func Handler(sys *dfi.System, opts ...HandlerOption) http.Handler {
 		writeJSON(w, http.StatusOK, engine.Evaluate())
 	})
 
-	handle("GET /v1/audit", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/audit", func(w http.ResponseWriter, r *http.Request) {
 		audit := sys.Audit()
 		if audit == nil {
 			httpError(w, http.StatusNotFound, CodeNotFound,
@@ -575,7 +404,7 @@ func Handler(sys *dfi.System, opts ...HandlerOption) http.Handler {
 		writeJSON(w, http.StatusOK, recs)
 	})
 
-	handle("GET /v1/audit/verify", func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("GET /v1/audit/verify", func(w http.ResponseWriter, _ *http.Request) {
 		audit := sys.Audit()
 		if audit == nil {
 			httpError(w, http.StatusNotFound, CodeNotFound,

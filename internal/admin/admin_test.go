@@ -1,8 +1,11 @@
 package admin
 
 import (
+	"encoding/json"
 	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,29 +33,20 @@ func newTestServer(t *testing.T) (*dfi.System, *Client) {
 	return sys, NewClient(srv.URL)
 }
 
+// TestRuleLifecycle: a rule enters through the policy document, shows up
+// in the read-only GET /v1/rules view, and leaves with the next document
+// that omits it — a PUT is the whole policy. /v1/rules takes no writes.
 func TestRuleLifecycle(t *testing.T) {
 	_, client := newTestServer(t)
 
-	if err := client.RegisterPDP("ops", 50); err != nil {
-		t.Fatal(err)
-	}
-	// Re-registering must conflict.
-	if err := client.RegisterPDP("ops", 60); err == nil {
-		t.Fatal("duplicate PDP registration accepted")
-	}
-
-	id, err := client.InsertRule(RuleJSON{
-		PDP:    "ops",
-		Action: "allow",
-		Src:    EndpointJSON{User: "alice"},
-		Dst:    EndpointJSON{Host: "mail", IP: "10.0.0.9"},
-	})
+	d, err := client.ApplyPolicy("pdp ops priority 50\nallow from user alice to host mail ip 10.0.0.9\n", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id == 0 {
-		t.Fatal("zero rule id")
+	if len(d.Insert) != 1 || d.Insert[0].ID == 0 {
+		t.Fatalf("apply delta = %+v", d)
 	}
+	id := d.Insert[0].ID
 
 	rules, err := client.Rules()
 	if err != nil {
@@ -63,15 +57,16 @@ func TestRuleLifecycle(t *testing.T) {
 	}
 	r := rules[0]
 	if r.ID != id || r.Action != "allow" || r.Src.User != "alice" ||
-		r.Dst.Host != "mail" || r.Dst.IP != "10.0.0.9" || r.Priority != 50 {
+		r.Dst.Host != "mail" || r.Dst.IP != "10.0.0.9" || r.Priority != 50 || r.Origin == "" {
 		t.Fatalf("rule = %+v", r)
 	}
 
-	if err := client.RevokeRule(id); err != nil {
+	d, err = client.ApplyPolicy("pdp ops priority 50\n", false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.RevokeRule(id); err == nil {
-		t.Fatal("double revoke accepted")
+	if len(d.Revoke) != 1 || d.Revoke[0].ID != id {
+		t.Fatalf("revoking apply delta = %+v", d)
 	}
 	rules, err = client.Rules()
 	if err != nil {
@@ -80,26 +75,41 @@ func TestRuleLifecycle(t *testing.T) {
 	if len(rules) != 0 {
 		t.Fatalf("rules after revoke = %d", len(rules))
 	}
+
+	// The per-rule write routes are gone: POST on the read-only view is a
+	// 405, and there is no per-id resource left to DELETE.
+	resp, env := get(t, http.MethodPost, client.base+"/v1/rules", `{"pdp":"ops","action":"allow"}`)
+	if resp.StatusCode != http.StatusMethodNotAllowed || env.Error.Code != CodeMethodNotAllowed {
+		t.Fatalf("POST /v1/rules = %d %+v", resp.StatusCode, env)
+	}
+	resp, env = get(t, http.MethodDelete, client.base+"/v1/rules/1", "")
+	if resp.StatusCode != http.StatusNotFound || env.Error.Code != CodeNotFound {
+		t.Fatalf("DELETE /v1/rules/1 = %d %+v", resp.StatusCode, env)
+	}
 }
 
+// TestInsertValidation: every rule insert goes through the document, so a
+// malformed rule — no declaring PDP, an unknown action, a bad IP or MAC —
+// is a 422 naming its line, and the manager is untouched.
 func TestInsertValidation(t *testing.T) {
-	_, client := newTestServer(t)
-	if _, err := client.InsertRule(RuleJSON{PDP: "ghost", Action: "allow"}); err == nil {
-		t.Fatal("rule from unregistered PDP accepted")
+	sys, client := newTestServer(t)
+	for _, src := range []string{
+		"allow from host a\n",
+		"pdp ops priority 50\nshrug from host a\n",
+		"pdp ops priority 50\nallow from ip not-an-ip\n",
+		"pdp ops priority 50\nallow from mac zz:zz\n",
+	} {
+		body, _ := json.Marshal(PolicyDocJSON{Source: src})
+		resp, env := get(t, http.MethodPut, client.base+"/v1/policy", string(body))
+		if resp.StatusCode != http.StatusUnprocessableEntity || env.Error.Code != CodeValidation {
+			t.Fatalf("%q: %d %+v", src, resp.StatusCode, env)
+		}
+		if want := strings.Count(src, "\n"); len(env.Error.Lines) != 1 || env.Error.Lines[0] != want {
+			t.Fatalf("%q: lines = %v, want [%d]", src, env.Error.Lines, want)
+		}
 	}
-	if err := client.RegisterPDP("ops", 50); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.InsertRule(RuleJSON{PDP: "ops", Action: "shrug"}); err == nil {
-		t.Fatal("bad action accepted")
-	}
-	if _, err := client.InsertRule(RuleJSON{PDP: "ops", Action: "allow",
-		Src: EndpointJSON{IP: "not-an-ip"}}); err == nil {
-		t.Fatal("bad IP accepted")
-	}
-	if _, err := client.InsertRule(RuleJSON{PDP: "ops", Action: "allow",
-		Src: EndpointJSON{MAC: "zz:zz"}}); err == nil {
-		t.Fatal("bad MAC accepted")
+	if sys.Policy().Len() != 0 {
+		t.Fatalf("rejected inserts left %d rules", sys.Policy().Len())
 	}
 }
 
@@ -134,10 +144,7 @@ func TestBindings(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	_, client := newTestServer(t)
-	if err := client.RegisterPDP("ops", 50); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.InsertRule(RuleJSON{PDP: "ops", Action: "deny"}); err != nil {
+	if _, err := client.ApplyPolicy("pdp ops priority 50\ndeny from host kiosk\n", false); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := client.Stats()

@@ -23,24 +23,11 @@ func NewClient(base string) *Client {
 	return &Client{base: base, http: &http.Client{}}
 }
 
-// Rules lists the stored policy.
+// Rules lists every manager rule (read-only; policy changes go through
+// ApplyPolicy).
 func (c *Client) Rules() ([]RuleJSON, error) {
 	var out []RuleJSON
 	return out, c.do(http.MethodGet, "/v1/rules", nil, &out)
-}
-
-// InsertRule inserts a rule, returning its id.
-func (c *Client) InsertRule(rule RuleJSON) (uint64, error) {
-	var out map[string]uint64
-	if err := c.do(http.MethodPost, "/v1/rules", rule, &out); err != nil {
-		return 0, err
-	}
-	return out["id"], nil
-}
-
-// RevokeRule revokes a rule by id.
-func (c *Client) RevokeRule(id uint64) error {
-	return c.do(http.MethodDelete, fmt.Sprintf("/v1/rules/%d", id), nil, nil)
 }
 
 // Policy fetches the running policy document (canonical policytext
@@ -80,11 +67,6 @@ func (c *Client) CompiledPolicy() ([]CompiledRuleJSON, error) {
 	return out, c.do(http.MethodGet, "/v1/policy/compiled", nil, &out)
 }
 
-// RegisterPDP registers a PDP name with its priority.
-func (c *Client) RegisterPDP(name string, priority int) error {
-	return c.do(http.MethodPost, "/v1/pdps", map[string]any{"name": name, "priority": priority}, nil)
-}
-
 // AddBinding adds or removes an identifier binding.
 func (c *Client) AddBinding(b BindingJSON) error {
 	return c.do(http.MethodPost, "/v1/bindings", b, nil)
@@ -112,12 +94,6 @@ func (c *Client) Stats() (StatsJSON, error) {
 func (c *Client) Healthz() (HealthJSON, error) {
 	var out HealthJSON
 	return out, c.do(http.MethodGet, "/v1/healthz", nil, &out)
-}
-
-// Traces reads the last n admission traces, most recent first.
-func (c *Client) Traces(n int) ([]TraceJSON, error) {
-	var out []TraceJSON
-	return out, c.do(http.MethodGet, fmt.Sprintf("/v1/trace?n=%d", n), nil, &out)
 }
 
 // Spans reads every retained span of one causal trace, oldest first.

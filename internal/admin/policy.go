@@ -50,17 +50,17 @@ type CompiledRuleJSON struct {
 	Provenance ProvenanceJSON `json:"provenance"`
 }
 
-// registerPolicy mounts the declarative policy-document endpoints. The
-// per-rule /v1/rules endpoints remain the imperative low-level escape
-// hatch; these operate on whole documents and return rule deltas.
-func registerPolicy(handle func(string, http.HandlerFunc), sys *dfi.System) {
+// registerPolicy mounts the policy-document endpoints, the admin API's only
+// write path for policy: they operate on whole documents and return rule
+// deltas.
+func registerPolicy(mux *http.ServeMux, sys *dfi.System) {
 	eng := sys.PolicyEngine()
 
-	handle("GET /v1/policy", func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("GET /v1/policy", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, PolicyDocJSON{Source: eng.Source()})
 	})
 
-	handle("PUT /v1/policy", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("PUT /v1/policy", func(w http.ResponseWriter, r *http.Request) {
 		var j PolicyDocJSON
 		if err := json.NewDecoder(r.Body).Decode(&j); err != nil {
 			httpError(w, http.StatusBadRequest, CodeBadRequest, err)
@@ -84,7 +84,7 @@ func registerPolicy(handle func(string, http.HandlerFunc), sys *dfi.System) {
 		writeJSON(w, http.StatusOK, annotate(fromDelta(d, dry), prevSrc, j.Source))
 	})
 
-	handle("POST /v1/policy/diff", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/policy/diff", func(w http.ResponseWriter, r *http.Request) {
 		var j PolicyDocJSON
 		if err := json.NewDecoder(r.Body).Decode(&j); err != nil {
 			httpError(w, http.StatusBadRequest, CodeBadRequest, err)
@@ -99,7 +99,7 @@ func registerPolicy(handle func(string, http.HandlerFunc), sys *dfi.System) {
 		writeJSON(w, http.StatusOK, annotate(fromDelta(d, true), prevSrc, j.Source))
 	})
 
-	handle("GET /v1/policy/compiled", func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("GET /v1/policy/compiled", func(w http.ResponseWriter, _ *http.Request) {
 		compiled := eng.Compiled()
 		out := make([]CompiledRuleJSON, 0, len(compiled))
 		for _, cr := range compiled {

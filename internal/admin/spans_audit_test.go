@@ -35,13 +35,11 @@ func newTestServerOpts(t *testing.T, sysOpts []dfi.Option, hOpts []HandlerOption
 func TestSpansEndpoint(t *testing.T) {
 	sys, client := newTestServer(t)
 	sys.PCP().AttachSwitch(7, nopSwitch{})
-	if err := client.RegisterPDP("ops", 50); err != nil {
-		t.Fatal(err)
-	}
-	id, err := client.InsertRule(RuleJSON{PDP: "ops", Action: "allow"})
+	d, err := client.ApplyPolicy("pdp ops priority 50\nallow from host a\n", false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	id := d.Insert[0].ID
 	admitFlow(sys.PCP(), 41000)
 
 	recent, err := client.RecentSpans(64)
@@ -93,22 +91,11 @@ func TestSpansEndpoint(t *testing.T) {
 	}
 }
 
-func TestSpansDisabled(t *testing.T) {
-	_, client := newTestServerOpts(t, []dfi.Option{dfi.WithCausalTracing(-1)}, nil)
-	resp, env := get(t, http.MethodGet, client.base+"/v1/spans", "")
-	if resp.StatusCode != http.StatusNotFound || env.Error.Code != CodeNotFound {
-		t.Fatalf("spans disabled = %d %+v", resp.StatusCode, env)
-	}
-}
-
 func TestAuditEndpoints(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "audit.jsonl")
 	sys, client := newTestServerOpts(t, []dfi.Option{dfi.WithAuditLog(path, 0)}, nil)
 	sys.PCP().AttachSwitch(7, nopSwitch{})
-	if err := client.RegisterPDP("ops", 50); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.InsertRule(RuleJSON{PDP: "ops", Action: "allow"}); err != nil {
+	if _, err := client.ApplyPolicy("pdp ops priority 50\nallow from host a\n", false); err != nil {
 		t.Fatal(err)
 	}
 	admitFlow(sys.PCP(), 42000)

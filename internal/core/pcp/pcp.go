@@ -77,8 +77,8 @@ type Request struct {
 	DPID     uint64
 	PacketIn *openflow.PacketIn
 	// ProxyOverhead is the proxy-side forwarding cost already spent on this
-	// packet-in before it was submitted; it is copied into sampled admission
-	// traces as the proxy-forward stage.
+	// packet-in before it was submitted; the admission's proxy/forward span
+	// records it.
 	ProxyOverhead time.Duration
 	// Done, if non-nil, receives the decision once processing completes.
 	Done func(Decision)
@@ -125,13 +125,11 @@ type Config struct {
 	// always live; a dfi.System passes its shared registry here. One PCP
 	// per registry — the queue-depth gauge reads this PCP's queue.
 	Obs *obs.Registry
-	// Trace receives sampled admission traces; nil disables tracing, which
-	// costs the admission path one nil check and no allocations.
-	Trace *obs.TraceRing
-	// Spans receives causal spans: per-stage admission spans for sampled
-	// admissions (Trace gates sampling; an admission sampled out emits no
-	// spans and allocates nothing) and flush-compilation / flow-mod-write
-	// spans for policy flushes. Nil disables span emission.
+	// Spans receives causal spans: a pcp/admission root with its stage
+	// children for every admission, a pcp/overload_drop span per queue
+	// drop, and flush-compilation / flow-mod-write spans for policy
+	// flushes. Nil disables span emission and the stage clock reads that
+	// feed it.
 	Spans *obs.SpanStore
 	// Audit, when non-nil, receives a kind="decision" record per processed
 	// admission and a kind="policy" op="flush" record per flush.
@@ -383,16 +381,20 @@ func (p *PCP) Submit(req *Request) bool {
 	}
 }
 
-// dropOverload records one queue (or not-running) drop, tracing it when
-// sampled so control-plane saturation is visible at /v1/trace.
+// dropOverload records one queue (or not-running) drop as a counter and a
+// pcp/overload_drop span, so control-plane saturation is visible at
+// /v1/spans.
 func (p *PCP) dropOverload(req *Request) {
 	p.metrics.dropped.Inc()
-	if p.cfg.Trace.Sampled() {
-		p.cfg.Trace.Commit(obs.AdmissionTrace{
-			Start:   p.cfg.Clock.Now(),
-			DPID:    req.DPID,
-			Outcome: obs.OutcomeOverloadDrop,
-			Proxy:   req.ProxyOverhead,
+	if st := p.cfg.Spans; st.Enabled() {
+		root := st.NewRoot()
+		st.Commit(obs.Span{
+			Trace:     root.Trace,
+			ID:        root.Span,
+			Component: obs.CompPCP,
+			Stage:     "overload_drop",
+			Start:     p.cfg.Clock.Now(),
+			DPID:      req.DPID,
 		})
 	}
 }
@@ -434,35 +436,24 @@ func (p *PCP) worker() {
 //dfi:hotpath
 func (p *PCP) Process(req *Request) {
 	start := p.cfg.Clock.Now()
-	// tr stays on the stack: it is only ever copied by value into the ring,
-	// so an admission that is sampled out pays nothing beyond zeroing it.
-	var tr obs.AdmissionTrace
-	var root obs.SpanContext
-	sampled := p.cfg.Trace.Sampled()
+	traced := p.cfg.Spans.Enabled()
+	// st stays on the stack: it is only ever passed by value to
+	// emitAdmissionSpans.
+	var st stageTimes
 	key, kerr := netpkt.ExtractFlowKey(req.PacketIn.Data)
-	if sampled {
-		// One trace id per sampled admission links the ring entry to its
-		// causal spans (zero when no span store is configured).
-		root = p.cfg.Spans.NewRoot()
-		tr.TraceID = uint64(root.Trace)
-		tr.Start = start
-		tr.DPID = req.DPID
-		tr.Key = key
-		tr.Proxy = req.ProxyOverhead
-		tr.Parse = p.cfg.Clock.Now().Sub(start)
+	if traced {
+		st.parse = p.cfg.Clock.Now().Sub(start)
 	}
 	var dec Decision
 	var fv *policy.FlowView
+	var inPort uint32
 	// policyEpoch is the policy epoch dec was decided under.
 	var policyEpoch uint64
 	hit := false
 	if kerr != nil {
 		dec = Decision{Err: kerr}
 	} else {
-		inPort := req.PacketIn.InPort()
-		if sampled {
-			tr.InPort = inPort
-		}
+		inPort = req.PacketIn.InPort()
 		// MAC↔switch-port sensor (paper §IV-A): the PCP is the
 		// authoritative observer of where traffic physically enters the
 		// network. Runs before the cache probe so that a moved MAC bumps
@@ -483,18 +474,14 @@ func (p *PCP) Process(req *Request) {
 		if !hit {
 			p.metrics.cacheMisses.Inc()
 			var entityEpoch uint64
-			var bindDur, polDur time.Duration
-			dec, fv, policyEpoch, entityEpoch, bindDur, polDur = p.decide(req, key, inPort)
-			if sampled {
-				tr.Binding, tr.Policy = bindDur, polDur
-			}
+			dec, fv, policyEpoch, entityEpoch, st.binding, st.policy = p.decide(req, key, inPort)
 			if p.cache != nil && dec.Err == nil {
 				p.cache.store(ck, dec, policyEpoch, entityEpoch)
 			}
 		}
 	}
 	tInstall := start
-	if sampled {
+	if traced {
 		tInstall = p.cfg.Clock.Now()
 	}
 	if installed, match := p.install(req, dec, fv, key); installed && p.cfg.Policy.Epoch() != policyEpoch {
@@ -508,86 +495,92 @@ func (p *PCP) Process(req *Request) {
 	} else {
 		p.metrics.denied.Inc()
 	}
-	if sampled {
-		tr.Install = end.Sub(tInstall)
-		tr.Total = end.Sub(start)
-		tr.CacheHit = hit
-		tr.RuleID = uint64(dec.RuleID)
-		switch {
-		case dec.Err != nil:
-			tr.Outcome = obs.OutcomeError
-			tr.Err = dec.Err.Error()
-		case dec.Allow:
-			tr.Outcome = obs.OutcomeAllow
-		default:
-			tr.Outcome = obs.OutcomeDeny
-		}
-		p.cfg.Trace.Commit(tr)
-		if root.Valid() {
-			// tr and root travel by value so neither escapes; the helper is
-			// off the annotated path and only runs for sampled admissions.
-			p.emitAdmissionSpans(root, tr)
-		}
+	var trace obs.TraceID
+	if traced {
+		st.install = end.Sub(tInstall)
+		st.total = end.Sub(start)
+		trace = p.emitAdmissionSpans(req, inPort, key, dec, hit, start, st)
 	}
 	if p.cfg.Audit != nil {
-		p.auditDecision(req, key, kerr, dec, fv, hit, root.Trace)
+		p.auditDecision(req, key, kerr, dec, fv, hit, trace)
 	}
 	if req.Done != nil {
 		req.Done(dec)
 	}
 }
 
-// emitAdmissionSpans projects one committed admission trace into the span
-// store: a root ("pcp","admission") span plus a child per measured stage
-// (and the proxy's forwarding overhead, spent before the PCP clock
-// started), so a /v1/trace row pivots into its /v1/spans?trace= causal
-// form. Parameters are by value: the caller's stack copies must not
-// escape.
-func (p *PCP) emitAdmissionSpans(root obs.SpanContext, tr obs.AdmissionTrace) {
-	st := p.cfg.Spans
-	commitStage := func(component, stage string, start time.Time, d time.Duration) {
+// stageTimes are one admission's stage durations, measured only when spans
+// are collected. Binding and policy are zero on cache hits.
+type stageTimes struct {
+	parse, binding, policy, install, total time.Duration
+}
+
+// emitAdmissionSpans commits one admission's spans and returns their trace:
+// a root ("pcp","admission") span carrying the flow's ingress, identifiers,
+// deciding rule and outcome, plus a child per measured stage (and the
+// proxy's forwarding overhead, spent before the PCP clock started).
+// Parameters are by value so the caller's stack copies do not escape, and
+// the root's detail is a constant, so a traced cache hit allocates nothing.
+func (p *PCP) emitAdmissionSpans(req *Request, inPort uint32, key netpkt.FlowKey, dec Decision, hit bool, start time.Time, t stageTimes) obs.TraceID {
+	spans := p.cfg.Spans
+	root := spans.NewRoot()
+	commitStage := func(component, stage string, at time.Time, d time.Duration) {
 		if d <= 0 {
 			return
 		}
-		st.Commit(obs.Span{
+		spans.Commit(obs.Span{
 			Trace:     root.Trace,
-			ID:        st.Child(root).Span,
+			ID:        spans.Child(root).Span,
 			Parent:    root.Span,
 			Component: component,
 			Stage:     stage,
-			Start:     start,
+			Start:     at,
 			Duration:  d,
 		})
 	}
-	commitStage(obs.CompProxy, "forward", tr.Start.Add(-tr.Proxy), tr.Proxy)
-	at := tr.Start
-	commitStage(obs.CompPCP, "parse", at, tr.Parse)
-	at = at.Add(tr.Parse)
-	commitStage(obs.CompPCP, "binding_query", at, tr.Binding)
-	at = at.Add(tr.Binding)
-	commitStage(obs.CompPCP, "policy_query", at, tr.Policy)
-	end := tr.Start.Add(tr.Total)
-	commitStage(obs.CompPCP, "install", end.Add(-tr.Install), tr.Install)
-	st.Commit(obs.Span{
+	commitStage(obs.CompProxy, "forward", start.Add(-req.ProxyOverhead), req.ProxyOverhead)
+	at := start
+	commitStage(obs.CompPCP, "parse", at, t.parse)
+	at = at.Add(t.parse)
+	commitStage(obs.CompPCP, "binding_query", at, t.binding)
+	at = at.Add(t.binding)
+	commitStage(obs.CompPCP, "policy_query", at, t.policy)
+	end := start.Add(t.total)
+	commitStage(obs.CompPCP, "install", end.Add(-t.install), t.install)
+	sp := obs.Span{
 		Trace:     root.Trace,
 		ID:        root.Span,
 		Component: obs.CompPCP,
 		Stage:     "admission",
-		Start:     tr.Start,
-		Duration:  tr.Total,
-		DPID:      tr.DPID,
-		RuleID:    tr.RuleID,
-		Detail:    admissionDetail(tr),
-		Err:       tr.Err,
-	})
+		Start:     start,
+		Duration:  t.total,
+		DPID:      req.DPID,
+		RuleID:    uint64(dec.RuleID),
+		InPort:    inPort,
+		Flow:      key,
+		Detail:    admissionDetail(dec, hit),
+	}
+	if dec.Err != nil {
+		sp.Err = dec.Err.Error()
+	}
+	spans.Commit(sp)
+	return root.Trace
 }
 
-// admissionDetail summarizes an admission for its root span.
-func admissionDetail(tr obs.AdmissionTrace) string {
-	if tr.CacheHit {
-		return tr.Outcome.String() + " (cache hit)"
+// admissionDetail names an admission's outcome for its root span.
+func admissionDetail(dec Decision, hit bool) string {
+	switch {
+	case dec.Err != nil:
+		return "error"
+	case dec.Allow && hit:
+		return "allow (cache hit)"
+	case dec.Allow:
+		return "allow"
+	case hit:
+		return "deny (cache hit)"
+	default:
+		return "deny"
 	}
-	return tr.Outcome.String()
 }
 
 // auditDecision appends the kind="decision" record for one processed
@@ -630,8 +623,7 @@ func (p *PCP) auditDecision(req *Request, key netpkt.FlowKey, kerr error, dec De
 // caller can cache the decision; a concurrent policy or binding change
 // makes the stored epochs stale and the cache entry self-invalidates. The
 // per-stage durations come back as plain return values (rather than decide
-// writing into a caller-owned trace) so the caller's trace never escapes
-// to the heap.
+// writing into the caller's stageTimes) so those never escape to the heap.
 func (p *PCP) decide(req *Request, key netpkt.FlowKey, inPort uint32) (dec Decision, fv *policy.FlowView, policyEpoch, entityEpoch uint64, bindDur, polDur time.Duration) {
 	entityEpoch = p.cfg.Entity.Epoch()
 

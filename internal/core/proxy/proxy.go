@@ -44,11 +44,12 @@ type Config struct {
 	// so a directly-constructed proxy exposes its counters alongside the
 	// PCP's in one place.
 	Obs *obs.Registry
-	// FlowStatsTimeout bounds how long a DFI-originated flow-stats read
-	// (switchWriter.ReadFlows) waits for the switch's multipart reply
-	// before giving up (default 10s).
-	FlowStatsTimeout time.Duration
 }
+
+// flowStatsTimeout bounds how long a DFI-originated flow-stats read
+// (switchWriter.ReadFlows) waits for the switch's multipart reply before
+// giving up.
+const flowStatsTimeout = 10 * time.Second
 
 // Stats is a point-in-time snapshot of the proxy's counters, assembled from
 // the obs registry (the registry is the source of truth; this struct is a
@@ -85,9 +86,6 @@ func New(cfg Config) (*Proxy, error) {
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.Real{}
-	}
-	if cfg.FlowStatsTimeout <= 0 {
-		cfg.FlowStatsTimeout = 10 * time.Second
 	}
 	reg := cfg.Obs
 	if reg == nil {
@@ -190,7 +188,7 @@ var statsTimerPool = sync.Pool{
 
 // ReadFlows issues a DFI-originated flow-stats request to the switch and
 // waits for the reply, which the relay routes back here instead of to the
-// controller. The wait is bounded by Config.FlowStatsTimeout.
+// controller. The wait is bounded by flowStatsTimeout.
 func (w *switchWriter) ReadFlows(req *openflow.FlowStatsRequest) ([]*openflow.FlowStatsEntry, error) {
 	xid, ch := w.sess.registerPending()
 	defer w.sess.unregisterPending(xid)
@@ -202,7 +200,7 @@ func (w *switchWriter) ReadFlows(req *openflow.FlowStatsRequest) ([]*openflow.Fl
 		return nil, err
 	}
 	t := statsTimerPool.Get().(*time.Timer)
-	t.Reset(w.sess.proxy.cfg.FlowStatsTimeout)
+	t.Reset(flowStatsTimeout)
 	defer func() {
 		if !t.Stop() {
 			select { // drain a fired timer before pooling it

@@ -32,7 +32,7 @@ type AuditRecord struct {
 	// (allow/deny/error, insert/revoke/revoke_all/flush, bind/unbind).
 	Kind string `json:"kind"`
 	Op   string `json:"op"`
-	// Trace links the record to its causal trace when one was sampled.
+	// Trace links the record to its causal trace when spans are collected.
 	Trace uint64 `json:"trace,omitempty"`
 	// RuleID is the deciding or mutated policy rule, when applicable.
 	RuleID uint64 `json:"ruleId,omitempty"`

@@ -37,7 +37,6 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var c *Counter
 	var g *Gauge
 	var h *Histogram
-	var ring *TraceRing
 	c.Inc()
 	c.Add(3)
 	g.Set(1)
@@ -45,13 +44,6 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	h.Observe(time.Millisecond)
 	if c.Value() != 0 || g.Value() != 0 || h.N() != 0 || h.Mean() != 0 || h.StdDev() != 0 {
 		t.Fatal("nil instruments returned non-zero values")
-	}
-	if ring.Sampled() {
-		t.Fatal("nil ring sampled")
-	}
-	ring.Commit(AdmissionTrace{})
-	if ring.Last(5) != nil || ring.Committed() != 0 {
-		t.Fatal("nil ring returned traces")
 	}
 	var cv *CounterVec
 	var hv *HistogramVec
@@ -161,48 +153,6 @@ func TestKindClashPanics(t *testing.T) {
 		}
 	}()
 	r.Gauge("dfi_test_x", "")
-}
-
-func TestTraceRingOrderAndWrap(t *testing.T) {
-	ring := NewTraceRing(4, 1)
-	for i := 0; i < 7; i++ {
-		if !ring.Sampled() {
-			t.Fatal("every=1 must always sample")
-		}
-		ring.Commit(AdmissionTrace{DPID: uint64(i)})
-	}
-	if ring.Committed() != 7 {
-		t.Fatalf("committed = %d", ring.Committed())
-	}
-	got := ring.Last(10)
-	if len(got) != 4 {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i, tr := range got {
-		if want := uint64(6 - i); tr.DPID != want || tr.Seq != want {
-			t.Fatalf("trace %d = {DPID:%d Seq:%d}, want %d", i, tr.DPID, tr.Seq, want)
-		}
-	}
-	if n := len(ring.Last(2)); n != 2 {
-		t.Fatalf("Last(2) = %d", n)
-	}
-}
-
-func TestTraceRingSampling(t *testing.T) {
-	ring := NewTraceRing(8, 3)
-	sampled := 0
-	for i := 0; i < 300; i++ {
-		if ring.Sampled() {
-			sampled++
-		}
-	}
-	if sampled != 100 {
-		t.Fatalf("sampled = %d, want 100", sampled)
-	}
-	off := NewTraceRing(8, 0)
-	if off.Sampled() {
-		t.Fatal("every=0 must disable sampling")
-	}
 }
 
 func TestRegistryConcurrentScrape(t *testing.T) {

@@ -1,9 +1,10 @@
 // Package obs is DFI's unified observability layer: a dependency-free
 // metrics registry (atomic counters, gauges, lock-free fixed-bucket latency
-// histograms and labeled families of each) plus a bounded ring of per-flow
-// admission traces (trace.go). Every control-plane component registers its
-// instruments here, so the experiment harness, the /v1/metrics Prometheus
-// endpoint and an operator's curl all read the same numbers.
+// histograms and labeled families of each), a bounded ring of causal spans
+// (span.go) and the audit log (audit.go). Every control-plane component
+// registers its instruments here, so the experiment harness, the
+// /v1/metrics Prometheus endpoint and an operator's curl all read the same
+// numbers.
 //
 // Instruments are cheap enough for the admission hot path: a counter add is
 // one atomic add, a histogram observation is a handful of atomic adds with

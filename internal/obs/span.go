@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/dfi-sdn/dfi/internal/netpkt"
 	"github.com/dfi-sdn/dfi/internal/simclock"
 )
 
@@ -42,8 +43,8 @@ const (
 
 // Span is one timed unit of work attributed to a trace. The struct is
 // fixed-size; committing a span copies it into the store's ring without
-// allocating, which is what lets the admission path emit spans (when
-// sampled) without breaking its zero-alloc contract when it is not.
+// allocating, which is what lets every admission emit its spans without
+// breaking the hot path's zero-alloc contract.
 type Span struct {
 	// Seq is the span's position in the total committed sequence.
 	Seq uint64
@@ -63,9 +64,14 @@ type Span struct {
 	Start    time.Time
 	Duration time.Duration
 	// Optional attributes. DPID/RuleID are zero when not applicable;
-	// Detail is a short human-readable annotation (topic, binding, flow).
+	// Detail is a short human-readable annotation (topic, binding,
+	// outcome). InPort and Flow locate an admission root's packet: its
+	// ingress port and the identifiers parsed from it, kept raw so the
+	// admission path formats nothing.
 	DPID   uint64
 	RuleID uint64
+	InPort uint32
+	Flow   netpkt.FlowKey
 	Detail string
 	// Err describes a failure, empty on success.
 	Err string
@@ -77,8 +83,8 @@ type Span struct {
 // are dropped, so instrumented code needs no enabled-checks beyond what it
 // wants for efficiency.
 //
-// Like TraceRing, the write side takes a mutex for the ring copy; the id
-// allocators are atomics so NewRoot/Child never contend.
+// The write side takes a mutex for the ring copy; the id allocators are
+// atomics so NewRoot/Child never contend.
 type SpanStore struct {
 	clock     simclock.Clock
 	nextTrace atomic.Uint64

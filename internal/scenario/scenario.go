@@ -11,9 +11,8 @@
 // values vary with the machine while shapes and verdict margins are
 // stable.
 //
-// dfi-bench -scenario <name> -json runs scenarios and emits the
-// schema-versioned BENCH_scenarios.json trajectory that CI regresses
-// against a pinned baseline.
+// dfi-bench -scenario <name> runs scenarios and prints their verdicts;
+// TestScenariosPassQuick requires every one to pass at quick scale.
 package scenario
 
 import (
@@ -38,41 +37,41 @@ type Config struct {
 // Metric is one measured distribution or rate, in base units (seconds for
 // latencies, events for counts).
 type Metric struct {
-	Name  string  `json:"name"`
-	Unit  string  `json:"unit"`
-	Count uint64  `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-	P999  float64 `json:"p999"`
-	Max   float64 `json:"max,omitempty"`
+	Name  string
+	Unit  string
+	Count uint64
+	Mean  float64
+	P50   float64
+	P95   float64
+	P99   float64
+	P999  float64
+	Max   float64
 	// Rate is events per second where the metric has a natural rate
 	// (throughput metrics), zero otherwise.
-	Rate float64 `json:"rate,omitempty"`
+	Rate float64
 }
 
 // Verdict is one SLO gate outcome.
 type Verdict struct {
-	Name      string  `json:"name"`
-	Metric    string  `json:"metric"`
-	Quantile  float64 `json:"quantile,omitempty"`
-	Threshold float64 `json:"threshold"`
-	Actual    float64 `json:"actual"`
-	Pass      bool    `json:"pass"`
+	Name      string
+	Metric    string
+	Quantile  float64
+	Threshold float64
+	Actual    float64
+	Pass      bool
 }
 
 // Result is one scenario's full record.
 type Result struct {
-	Scenario    string    `json:"scenario"`
-	Description string    `json:"description"`
-	Seed        int64     `json:"seed"`
-	Quick       bool      `json:"quick"`
-	Entities    int       `json:"entities"`
-	Switches    int       `json:"switches"`
-	DurationSec float64   `json:"duration_seconds"`
-	Metrics     []Metric  `json:"metrics"`
-	SLOs        []Verdict `json:"slos"`
+	Scenario    string
+	Description string
+	Seed        int64
+	Quick       bool
+	Entities    int
+	Switches    int
+	DurationSec float64
+	Metrics     []Metric
+	SLOs        []Verdict
 }
 
 // Passed reports whether every SLO gate held.

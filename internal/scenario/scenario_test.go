@@ -23,6 +23,20 @@ func TestRegistryNames(t *testing.T) {
 	}
 }
 
+// TestScenariosPassQuick: every registered scenario holds all its SLOs at
+// quick scale — the gate that replaced the committed timing baseline.
+func TestScenariosPassQuick(t *testing.T) {
+	for _, name := range Names() {
+		results, err := RunByName(name, Config{Seed: 3, Quick: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := results[0]; !res.Passed() {
+			t.Errorf("%s violated its SLOs: %+v", name, res.SLOs)
+		}
+	}
+}
+
 // TestFlapStormQuick runs the flap storm at CI scale and checks the result
 // shape: mutation and admission distributions populated, SLO verdicts
 // attached, entity population at quick-campus scale.

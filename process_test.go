@@ -50,24 +50,21 @@ func TestProcessesEndToEnd(t *testing.T) {
 		return string(out)
 	}
 
-	// Policy administration over the real admin API.
-	dfictl("pdp", "register", "ops", "50")
-	dfictl("allow", "-pdp", "ops", "-src-user", "alice", "-dst-host", "mail")
-	if out := dfictl("rules"); !strings.Contains(out, "alice") {
-		t.Fatalf("rules output missing the inserted rule:\n%s", out)
-	}
-
-	// Apply a policy file through dfictl.
+	// Policy administration over the real admin API: apply a policy file
+	// through dfictl, then read it and its rules back.
 	policyPath := filepath.Join(binDir, "corp.policy")
-	policyText := "pdp corp priority 60\nallow proto tcp from host a to host b\n"
+	policyText := "pdp corp priority 60\nallow proto tcp from host a to host b\nallow from user alice to host mail\n"
 	if err := os.WriteFile(policyPath, []byte(policyText), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if out := dfictl("policy", "apply", policyPath); !strings.Contains(out, "1 rule(s) inserted, 0 revoked") {
+	if out := dfictl("policy", "apply", policyPath); !strings.Contains(out, "2 rule(s) inserted, 0 revoked") {
 		t.Fatalf("apply output: %s", out)
 	}
 	if out := dfictl("policy", "show"); !strings.Contains(out, "pdp corp priority 60") {
 		t.Fatalf("policy show output: %s", out)
+	}
+	if out := dfictl("rules"); !strings.Contains(out, "alice") {
+		t.Fatalf("rules output missing the applied rule:\n%s", out)
 	}
 
 	// cbench drives real packet-ins through dfid to the controller.
@@ -84,6 +81,9 @@ func TestProcessesEndToEnd(t *testing.T) {
 	stats := dfictl("stats")
 	if !strings.Contains(stats, "pcp processed:    15") {
 		t.Fatalf("stats after cbench:\n%s", stats)
+	}
+	if out := dfictl("spans"); !strings.Contains(out, "pcp     admission") {
+		t.Fatalf("spans after cbench carry no admission:\n%s", out)
 	}
 	// cbench has exited: its switch session must have been detached (the
 	// proxy keeps no cross-session state).

@@ -113,8 +113,8 @@ func TestSLOConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestAdmissionZeroAllocWithSLO extends the hot-path gate: with an SLO
-// engine attached to the admission registry (quantile objective over the
+// TestAdmissionZeroAllocWithSLO extends the hot-path gate: with a span
+// store and an SLO engine attached to the admission registry (quantile objective over the
 // stage histogram, rate objective over the processed counter) and already
 // evaluating, a cache-hit re-admission must still allocate nothing — the
 // engine only reads snapshots, never touching the hot path.
@@ -128,7 +128,7 @@ func TestAdmissionZeroAllocWithSLO(t *testing.T) {
 	erm.BindHostIP("h1", netpkt.MustParseIPv4("10.0.0.1"))
 	erm.BindUserHost("alice", "h1")
 	reg := obs.NewRegistry()
-	p := pcp.New(pcp.Config{Entity: erm, Policy: pm, Obs: reg})
+	p := pcp.New(pcp.Config{Entity: erm, Policy: pm, Obs: reg, Spans: obs.NewSpanStore(64, nil)})
 	p.AttachSwitch(1, nopSwitch{})
 
 	engine := slo.New(simclock.Real{}, reg,
@@ -141,12 +141,7 @@ func TestAdmissionZeroAllocWithSLO(t *testing.T) {
 	)
 	defer engine.Close()
 
-	req := &pcp.Request{DPID: 1, PacketIn: &openflow.PacketIn{
-		BufferID: openflow.NoBuffer,
-		Reason:   openflow.PacketInReasonNoMatch,
-		Match:    &openflow.Match{InPort: openflow.U32(3)},
-		Data:     benchFrame(),
-	}}
+	req := hotPathRequest()
 	p.Process(req) // prime the decision cache
 	engine.Evaluate()
 	engine.Evaluate()
