@@ -49,15 +49,15 @@ func TestSpansEndpoint(t *testing.T) {
 	if len(recent) == 0 {
 		t.Fatal("no spans after a mutation and an admission")
 	}
-	// Find the policy insert span and pull its whole trace.
+	// Find the policy apply span and pull its whole trace.
 	var insertTrace uint64
 	for _, sp := range recent {
-		if sp.Component == "policy" && sp.Stage == "insert" && sp.RuleID == id {
+		if sp.Component == "policy" && sp.Stage == "apply" && sp.RuleID == id {
 			insertTrace = sp.Trace
 		}
 	}
 	if insertTrace == 0 {
-		t.Fatalf("no policy/insert span among %d recent spans", len(recent))
+		t.Fatalf("no policy/apply span among %d recent spans", len(recent))
 	}
 	trace, err := client.Spans(insertTrace)
 	if err != nil {

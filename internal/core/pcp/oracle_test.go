@@ -8,6 +8,7 @@ import (
 	"github.com/dfi-sdn/dfi/internal/core/entity"
 	"github.com/dfi-sdn/dfi/internal/core/policy"
 	"github.com/dfi-sdn/dfi/internal/netpkt"
+	"github.com/dfi-sdn/dfi/internal/obs"
 	"github.com/dfi-sdn/dfi/internal/openflow"
 	"github.com/dfi-sdn/dfi/internal/switchsim"
 )
@@ -128,6 +129,28 @@ func oracleRule(rng *rand.Rand) policy.Rule {
 	return r
 }
 
+// batchApply lands 1–4 random inserts and 0–2 revokes of live ids as one
+// ApplyCtx, so the oracles also cover one union flush for several rules,
+// and returns the updated live set.
+func batchApply(t testing.TB, rng *rand.Rand, pm *policy.Manager, live []policy.RuleID) []policy.RuleID {
+	t.Helper()
+	inserts := make([]policy.Rule, 1+rng.Intn(4))
+	for i := range inserts {
+		inserts[i] = oracleRule(rng)
+	}
+	var revokes []policy.RuleID
+	for n := rng.Intn(3); n > 0 && len(live) > 0; n-- {
+		i := rng.Intn(len(live))
+		revokes = append(revokes, live[i])
+		live = append(live[:i], live[i+1:]...)
+	}
+	ids, err := pm.ApplyCtx(obs.SpanContext{}, inserts, revokes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(live, ids...)
+}
+
 // oracleProbes enumerates data-plane probe frames over the universe: TCP
 // and UDP on the port grid plus ARP, between every endpoint pair, injected
 // at the source's bound port.
@@ -215,6 +238,8 @@ func TestDeltaStateEquivalenceOracle(t *testing.T) {
 				erm.BindMACLocation(oracleMACs[i], entity.Location{DPID: 1, Port: uint32(j + 4)})
 				erm.BindMACLocation(oracleMACs[i], entity.Location{DPID: 1, Port: uint32(i + 1)})
 			}
+		case rng.Intn(3) == 0:
+			live = batchApply(t, rng, pm, live)
 		default:
 			id, err := pm.Insert(oracleRule(rng))
 			if err != nil {
@@ -437,7 +462,8 @@ func TestConcurrentMutationsNoStaleAllow(t *testing.T) {
 
 // TestInstalledEntriesAgreeWithPolicy is the no-stale-entry invariant of
 // the cookie-flush path under concurrency: with 4 goroutines admitting
-// probes during 60 random inserts and revokes, every probe that afterwards
+// probes during 60 random inserts, revokes and batched applies (one union
+// flush for several rules), every probe that afterwards
 // hits a table-0 entry must forward exactly when current policy allows
 // it. Stale allows come from inserts that flush too little; stale denies
 // (and allows) from admissions whose install lands after a flush.
@@ -465,19 +491,22 @@ func TestInstalledEntriesAgreeWithPolicy(t *testing.T) {
 		}
 		var live []policy.RuleID
 		for step := 0; step < 60; step++ {
-			if len(live) > 4 && rng.Intn(3) == 0 {
+			switch {
+			case len(live) > 4 && rng.Intn(3) == 0:
 				i := rng.Intn(len(live))
 				if err := pm.Revoke(live[i]); err != nil {
 					t.Fatal(err)
 				}
 				live = append(live[:i], live[i+1:]...)
-				continue
+			case rng.Intn(3) == 0:
+				live = batchApply(t, rng, pm, live)
+			default:
+				id, err := pm.Insert(oracleRule(rng))
+				if err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, id)
 			}
-			id, err := pm.Insert(oracleRule(rng))
-			if err != nil {
-				t.Fatal(err)
-			}
-			live = append(live, id)
 		}
 		close(stop)
 		wg.Wait()

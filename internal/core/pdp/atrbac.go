@@ -2,11 +2,13 @@ package pdp
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/dfi-sdn/dfi/internal/bus"
 	"github.com/dfi-sdn/dfi/internal/core/policy"
 	"github.com/dfi-sdn/dfi/internal/netpkt"
+	"github.com/dfi-sdn/dfi/internal/obs"
 	"github.com/dfi-sdn/dfi/internal/sensors"
 )
 
@@ -100,7 +102,7 @@ func (a *ATRBAC) Start(b *bus.Bus) error {
 			}
 		}
 	}
-	ids, err := insertAll(a.pm, rules)
+	ids, err := a.pm.ApplyCtx(obs.SpanContext{}, rules, nil)
 	if err != nil {
 		return fmt.Errorf("at-rbac baseline: %w", err)
 	}
@@ -127,7 +129,8 @@ func (a *ATRBAC) Start(b *bus.Bus) error {
 	return nil
 }
 
-// Stop cancels the subscription and revokes all emitted rules.
+// Stop cancels the subscription and revokes every rule the PDP emitted —
+// the baseline and the active pair grants — in one apply.
 func (a *ATRBAC) Stop() {
 	a.mu.Lock()
 	sub := a.sub
@@ -137,12 +140,17 @@ func (a *ATRBAC) Stop() {
 	if sub != nil {
 		sub.Cancel()
 	}
-	a.pm.RevokeAll(a.name)
 	a.mu.Lock()
+	defer a.mu.Unlock()
+	ids := append([]policy.RuleID(nil), a.baseline...)
+	for _, id := range a.pairRules {
+		ids = append(ids, id)
+	}
+	// Only a concurrent revoke of one of these ids can fail the apply.
+	_, _ = a.pm.ApplyCtx(obs.SpanContext{}, nil, held(a.pm, ids))
 	a.pairRules = make(map[pairKey]policy.RuleID)
 	a.baseline = nil
 	a.users = make(map[string]map[string]struct{})
-	a.mu.Unlock()
 }
 
 // HandleAuth applies one log-on/log-off event, emitting or revoking the
@@ -191,45 +199,52 @@ func (a *ATRBAC) LoggedOnHosts() int {
 	return len(a.users)
 }
 
-// grantLocked emits host's role set: pairwise reachability with every
-// *also-logged-on* enclave peer (both directions) and with every server.
+// grantLocked emits host's role set in one apply: pairwise reachability
+// with every *also-logged-on* enclave peer (both directions) and with
+// every server.
 func (a *ATRBAC) grantLocked(host string) {
-	for _, peer := range a.roster.Peers(host) {
-		if _, on := a.users[peer]; !on {
-			continue
+	var keys []pairKey
+	var rules []policy.Rule
+	add := func(src, dst string) {
+		key := pairKey{src: src, dst: dst}
+		if _, exists := a.pairRules[key]; !exists && !slices.Contains(keys, key) {
+			keys = append(keys, key)
+			rules = append(rules, allowHosts(a.name, src, dst))
 		}
-		a.insertPairLocked(host, peer)
-		a.insertPairLocked(peer, host)
+	}
+	for _, peer := range a.roster.Peers(host) {
+		if _, on := a.users[peer]; on {
+			add(host, peer)
+			add(peer, host)
+		}
 	}
 	for _, srv := range a.roster.Servers {
-		if srv == host {
-			continue
-		}
-		a.insertPairLocked(host, srv)
-		a.insertPairLocked(srv, host)
-	}
-}
-
-// revokeLocked withdraws every pair rule mentioning host; the Policy
-// Manager's flush notifications remove any cached flow rules, cutting even
-// in-progress flows.
-func (a *ATRBAC) revokeLocked(host string) {
-	for key, id := range a.pairRules {
-		if key.src == host || key.dst == host {
-			_ = a.pm.Revoke(id)
-			delete(a.pairRules, key)
+		if srv != host {
+			add(host, srv)
+			add(srv, host)
 		}
 	}
-}
-
-func (a *ATRBAC) insertPairLocked(src, dst string) {
-	key := pairKey{src: src, dst: dst}
-	if _, exists := a.pairRules[key]; exists {
-		return
-	}
-	id, err := a.pm.Insert(allowHosts(a.name, src, dst))
+	// The PDP registered itself, so the apply cannot be rejected.
+	ids, err := a.pm.ApplyCtx(obs.SpanContext{}, rules, nil)
 	if err != nil {
 		return
 	}
-	a.pairRules[key] = id
+	for i, key := range keys {
+		a.pairRules[key] = ids[i]
+	}
+}
+
+// revokeLocked withdraws every pair rule mentioning host in one apply;
+// the Policy Manager's flush notification removes any cached flow rules,
+// cutting even in-progress flows.
+func (a *ATRBAC) revokeLocked(host string) {
+	var ids []policy.RuleID
+	for key, id := range a.pairRules {
+		if key.src == host || key.dst == host {
+			ids = append(ids, id)
+			delete(a.pairRules, key)
+		}
+	}
+	// Only a concurrent revoke of one of these ids can fail the apply.
+	_, _ = a.pm.ApplyCtx(obs.SpanContext{}, nil, held(a.pm, ids))
 }

@@ -14,11 +14,9 @@
 package pdp
 
 import (
-	"fmt"
 	"sort"
 
 	"github.com/dfi-sdn/dfi/internal/core/policy"
-	"github.com/dfi-sdn/dfi/internal/obs"
 )
 
 // Conventional priorities for the provided PDPs; higher wins.
@@ -95,25 +93,16 @@ func allowHosts(pdpName, src, dst string) policy.Rule {
 	}
 }
 
-// insertAll inserts rules, returning their ids; on failure, already
-// inserted rules are revoked.
-func insertAll(pm *policy.Manager, rules []policy.Rule) ([]policy.RuleID, error) {
-	return insertAllCtx(pm, obs.SpanContext{}, rules)
-}
-
-// insertAllCtx is insertAll threading a causal span context into each
-// insert (and any rollback revokes).
-func insertAllCtx(pm *policy.Manager, sc obs.SpanContext, rules []policy.Rule) ([]policy.RuleID, error) {
-	ids := make([]policy.RuleID, 0, len(rules))
-	for _, r := range rules {
-		id, err := pm.InsertCtx(sc, r)
-		if err != nil {
-			for _, prev := range ids {
-				_ = pm.RevokeCtx(sc, prev)
-			}
-			return nil, fmt.Errorf("insert %s: %w", r.String(), err)
+// held returns the ids pm still stores. An in-process caller may revoke a
+// PDP's rule behind its back, and one unknown id rejects a whole apply, so
+// a PDP withdrawing what it emitted revokes only what is left.
+func held(pm *policy.Manager, ids []policy.RuleID) []policy.RuleID {
+	snap := pm.Snapshot()
+	var out []policy.RuleID
+	for _, id := range ids {
+		if snap.Get(id) != nil {
+			out = append(out, id)
 		}
-		ids = append(ids, id)
 	}
-	return ids, nil
+	return out
 }

@@ -7,6 +7,7 @@ import (
 	"github.com/dfi-sdn/dfi/internal/bus"
 	"github.com/dfi-sdn/dfi/internal/core/policy"
 	"github.com/dfi-sdn/dfi/internal/netpkt"
+	"github.com/dfi-sdn/dfi/internal/obs"
 	"github.com/dfi-sdn/dfi/internal/sensors"
 )
 
@@ -242,8 +243,29 @@ func TestATRBACUnknownHostIgnored(t *testing.T) {
 	}
 }
 
+// appliesOf returns a channel that receives once per policy apply on pm.
+// Each PDP change is exactly one apply, and a PDP holds its own lock across
+// the apply, so once a receive returns, the PDP's state reflects the
+// change. The buffer covers every apply one test makes, so the deferred
+// Stop never blocks on a receiver that has returned.
+func appliesOf(pm *policy.Manager) <-chan struct{} {
+	applied := make(chan struct{}, 4)
+	pm.SetFlushFunc(func(obs.SpanContext, []policy.RuleID) { applied <- struct{}{} })
+	return applied
+}
+
+func waitApply(t *testing.T, applied <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-applied:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: no policy apply", what)
+	}
+}
+
 func TestATRBACViaBus(t *testing.T) {
 	pm := policy.NewManager()
+	applied := appliesOf(pm)
 	a, err := NewATRBAC(pm, testRoster())
 	if err != nil {
 		t.Fatal(err)
@@ -254,14 +276,12 @@ func TestATRBACViaBus(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Stop()
+	waitApply(t, applied, "baseline")
 	if err := b.Publish(bus.Event{Topic: sensors.TopicAuth,
 		Payload: sensors.AuthEvent{User: "u1", Host: "a1", LoggedOn: true}}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for a.LoggedOnHosts() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	waitApply(t, applied, "log-on")
 	if a.LoggedOnHosts() != 1 {
 		t.Fatal("bus-delivered auth event not applied")
 	}
@@ -396,6 +416,7 @@ func TestDuplicatePDPRegistrationFails(t *testing.T) {
 
 func TestQuarantineViaBusEvents(t *testing.T) {
 	pm := policy.NewManager()
+	applied := appliesOf(pm)
 	q, err := NewQuarantine(pm)
 	if err != nil {
 		t.Fatal(err)
@@ -410,10 +431,7 @@ func TestQuarantineViaBusEvents(t *testing.T) {
 		Payload: sensors.CompromiseEvent{Host: "h9"}}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for !q.Quarantined("h9") && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	waitApply(t, applied, "isolate")
 	if !q.Quarantined("h9") {
 		t.Fatal("compromise event not applied")
 	}
@@ -421,10 +439,7 @@ func TestQuarantineViaBusEvents(t *testing.T) {
 		Payload: sensors.CompromiseEvent{Host: "h9", Cleared: true}}); err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(2 * time.Second)
-	for q.Quarantined("h9") && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	waitApply(t, applied, "release")
 	if q.Quarantined("h9") {
 		t.Fatal("clear event not applied")
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/dfi-sdn/dfi/internal/core/policy"
+	"github.com/dfi-sdn/dfi/internal/obs"
 )
 
 // SRBAC implements the paper's static role-based access control condition
@@ -35,7 +36,7 @@ func (s *SRBAC) Name() string { return s.name }
 // inserted.
 func (s *SRBAC) Install() (int, error) {
 	rules := s.compile()
-	ids, err := insertAll(s.pm, rules)
+	ids, err := s.pm.ApplyCtx(obs.SpanContext{}, rules, nil)
 	if err != nil {
 		return 0, fmt.Errorf("s-rbac: %w", err)
 	}
@@ -45,10 +46,10 @@ func (s *SRBAC) Install() (int, error) {
 
 // Uninstall revokes the static policy.
 func (s *SRBAC) Uninstall() {
-	for _, id := range s.ids {
-		_ = s.pm.Revoke(id)
+	// Only a concurrent revoke can fail the apply; a later call retries.
+	if _, err := s.pm.ApplyCtx(obs.SpanContext{}, nil, held(s.pm, s.ids)); err == nil {
+		s.ids = nil
 	}
-	s.ids = nil
 }
 
 // compile expands the roster into ordered host-pair allow rules, exactly

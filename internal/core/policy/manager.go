@@ -3,7 +3,7 @@ package policy
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,10 +30,11 @@ type Decision struct {
 	Epoch uint64
 }
 
-// FlushFunc is notified after every policy mutation with the ids of policy
-// rules whose derived flow rules must be removed from the switches (paper
-// §III-B: on conflicting insert and on revocation). The ids slice may be
-// empty: an insert that conflicts with nothing still advances the epoch.
+// FlushFunc is notified once after every policy mutation with the sorted,
+// duplicate-free ids of policy rules whose derived flow rules must be
+// removed from the switches (paper §III-B: on conflicting insert and on
+// revocation). The ids slice may be empty: an insert that conflicts with
+// nothing still advances the epoch.
 // The PCP registers one of these. sc is the span context of the mutation
 // that triggered the flush (zero when the mutation was untraced), so flush
 // compilation and the resulting flow-mod writes join the mutation's causal
@@ -81,9 +82,9 @@ type Manager struct {
 	// and flushing switches is exactly what the SLO engine gates on.
 	tte *obs.Histogram
 
-	// spans (WithTracing) emits a ("policy", op) span per mutation; audit
-	// (WithAuditLog) appends a chained record per mutation. Both are
-	// nil-safe when unconfigured.
+	// spans (WithTracing) emits a ("policy","apply") span per mutation;
+	// audit (WithAuditLog) appends a chained record per changed rule. Both
+	// are nil-safe when unconfigured.
 	spans *obs.SpanStore
 	audit *obs.AuditLog
 
@@ -125,21 +126,20 @@ func WithObserver(reg *obs.Registry) ManagerOption {
 			"Rules in the current policy snapshot.",
 			func() float64 { return float64(pm.Len()) })
 		reg.GaugeFunc("dfi_policy_epoch",
-			"Current policy epoch (bumps on every insert, revoke and revoke-all).",
+			"Current policy epoch (bumps once per applied policy mutation).",
 			func() float64 { return float64(pm.Epoch()) })
 	}
 }
 
-// WithTracing attaches a span store: every insert/revoke/revoke-all
-// commits a ("policy", op) span, parented on the caller's span context
-// when one is threaded through the Ctx mutation variants.
+// WithTracing attaches a span store: every accepted ApplyCtx commits one
+// ("policy","apply") span, parented on the span context it was given.
 func WithTracing(ts *obs.SpanStore) ManagerOption {
 	return func(pm *Manager) { pm.spans = ts }
 }
 
-// WithAuditLog attaches the tamper-evident audit log: every mutation
-// appends a kind="policy" record (op insert/revoke/revoke_all) with the
-// rule id, PDP and rule text.
+// WithAuditLog attaches the tamper-evident audit log: every accepted
+// ApplyCtx appends one kind="policy" record (op insert or revoke) per
+// changed rule, with the rule id, PDP and rule text.
 func WithAuditLog(a *obs.AuditLog) ManagerOption {
 	return func(pm *Manager) { pm.audit = a }
 }
@@ -157,15 +157,6 @@ func NewManager(opts ...ManagerOption) *Manager {
 		opt(m)
 	}
 	return m
-}
-
-// publishLocked builds and publishes the snapshot for the current rule set,
-// bumping the epoch. Callers hold m.mu and must invoke it before releasing
-// the lock (and therefore before any flush notification).
-func (m *Manager) publishLocked() {
-	m.epoch++
-	m.snap.Store(buildSnapshot(m.epoch, m.rules))
-	m.snapshotRebuilds.Inc()
 }
 
 // SetFlushFunc registers the callback invoked when derived flow rules must
@@ -193,169 +184,150 @@ func (m *Manager) RegisterPDP(name string, priority int) error {
 	return nil
 }
 
-// Insert stores a new policy rule from a PDP, assigning its id and
-// priority. Existing rules that overlap the new rule with a different
-// action and that it now outranks — lower priority, or equal priority when
-// the new rule is a Deny, since Deny wins ties — may have produced
-// now-stale flow rules; their derived rules are flushed (the conflicting
-// policies themselves remain stored).
+// Insert stores one rule from a PDP and returns its assigned id: an
+// untraced ApplyCtx with a single insert.
 func (m *Manager) Insert(r Rule) (RuleID, error) {
-	return m.InsertCtx(obs.SpanContext{}, r)
+	ids, err := m.ApplyCtx(obs.SpanContext{}, []Rule{r}, nil)
+	if err != nil {
+		return 0, err
+	}
+	return ids[0], nil
 }
 
-// InsertCtx is Insert carrying a causal span context: the mutation's
-// ("policy","insert") span parents under sc (a sensor event's publish
-// span, typically) and any triggered flush runs inside the same trace.
-func (m *Manager) InsertCtx(sc obs.SpanContext, r Rule) (RuleID, error) {
+// Revoke removes one rule and flushes its derived flow rules: an untraced
+// ApplyCtx with a single revoke.
+func (m *Manager) Revoke(id RuleID) error {
+	_, err := m.ApplyCtx(obs.SpanContext{}, nil, []RuleID{id})
+	return err
+}
+
+// ApplyCtx is the Policy Manager's one mutation: it revokes the rules named
+// by revokes and stores inserts, stamping each with an id and its PDP's
+// priority, and returns the new ids in insert order. An insert from an
+// unregistered PDP or a revoke of an unknown id rejects the whole call
+// before anything changes; an empty call changes nothing either.
+//
+// An accepted call publishes one snapshot (one epoch) and, after
+// unlocking, calls the FlushFunc once with the sorted, duplicate-free
+// union of the revoked ids, each insert's conflicts — surviving rules that
+// overlap it with the opposite action and that it outranks (lower
+// priority, or equal priority when the insert is a Deny, since Deny wins
+// ties), whose flow rules may now be stale — and DefaultDenyID when any
+// insert is an Allow, as the implicit catch-all is the lowest-priority
+// Deny. The ("policy","apply") span parents under sc and is committed
+// after the flush, so it measures time-to-enforcement.
+func (m *Manager) ApplyCtx(sc obs.SpanContext, inserts []Rule, revokes []RuleID) ([]RuleID, error) {
+	if len(inserts) == 0 && len(revokes) == 0 {
+		return nil, nil
+	}
 	span := m.spans.Child(sc)
 	start := m.spans.Now()
 	wall := time.Now()
 
 	m.mu.Lock()
-	prio, ok := m.pdps[r.PDP]
-	if !ok {
-		m.mu.Unlock()
-		return 0, fmt.Errorf("%w: %q", ErrUnknownPDP, r.PDP)
-	}
-	r.Priority = prio
-	r.ID = m.nextID
-	m.nextID++
-
-	var flush []RuleID
-	for _, existing := range m.rules {
-		outranked := existing.Priority < r.Priority ||
-			(existing.Priority == r.Priority && r.Action == ActionDeny)
-		if outranked && existing.Action != r.Action && existing.Overlaps(&r) {
-			flush = append(flush, existing.ID)
+	for i := range inserts {
+		if _, ok := m.pdps[inserts[i].PDP]; !ok {
+			m.mu.Unlock()
+			return nil, fmt.Errorf("%w: %q", ErrUnknownPDP, inserts[i].PDP)
 		}
 	}
-	// The implicit default-deny catch-all behaves as the lowest-priority
-	// Deny rule (id 0): a new Allow rule conflicts with it, so flow rules
-	// derived from default denies must be flushed too.
-	if r.Action == ActionAllow {
-		flush = append(flush, DefaultDenyID)
+	for _, id := range revokes {
+		if _, ok := m.rules[id]; !ok {
+			m.mu.Unlock()
+			return nil, fmt.Errorf("%w: %d", ErrUnknownRule, id)
+		}
 	}
-	stored := r
-	m.rules[stored.ID] = &stored
-	m.publishLocked()
+
+	flush := make([]RuleID, 0, len(revokes)+1)
+	var revoked []*Rule
+	for _, id := range revokes {
+		if r, ok := m.rules[id]; ok { // a repeated id is revoked once
+			delete(m.rules, id)
+			revoked = append(revoked, r)
+			flush = append(flush, id)
+		}
+	}
+	ids := make([]RuleID, len(inserts))
+	inserted := make([]*Rule, len(inserts))
+	for i := range inserts {
+		r := inserts[i]
+		r.Priority = m.pdps[r.PDP]
+		r.ID = m.nextID
+		m.nextID++
+		// Only rules stored before this call can have installed flow rules,
+		// so conflicts are sought among the survivors, not among inserts.
+		for _, existing := range m.rules {
+			outranked := existing.Priority < r.Priority ||
+				(existing.Priority == r.Priority && r.Action == ActionDeny)
+			if outranked && existing.Action != r.Action && existing.Overlaps(&r) {
+				flush = append(flush, existing.ID)
+			}
+		}
+		if r.Action == ActionAllow {
+			flush = append(flush, DefaultDenyID)
+		}
+		ids[i] = r.ID
+		inserted[i] = &r
+	}
+	for _, r := range inserted {
+		m.rules[r.ID] = r
+	}
+	// The new epoch is visible before the flush, so no cache entry keyed on
+	// the old one validates once derived flow rules are being removed.
+	m.epoch++
+	m.snap.Store(buildSnapshot(m.epoch, m.rules))
+	m.snapshotRebuilds.Inc()
 	fn := m.onFlush
 	m.mu.Unlock()
 
+	slices.Sort(flush)
+	flush = slices.Compact(flush)
 	if fn != nil {
-		sort.Slice(flush, func(i, j int) bool { return flush[i] < flush[j] })
 		fn(span, flush)
 	}
 	m.tte.Observe(time.Since(wall))
-	m.commitSpan(sc, span, start, "insert", uint64(stored.ID), stored.String())
-	m.auditMutation(span, "insert", uint64(stored.ID), stored.PDP, stored.String())
-	return stored.ID, nil
-}
-
-// Revoke removes a policy rule and flushes its derived flow rules from the
-// switches. Revocation is distinct from inserting an opposite rule: after
-// revocation, flows match whatever other policy remains (paper §III-B).
-func (m *Manager) Revoke(id RuleID) error {
-	return m.RevokeCtx(obs.SpanContext{}, id)
-}
-
-// RevokeCtx is Revoke carrying a causal span context (see InsertCtx).
-func (m *Manager) RevokeCtx(sc obs.SpanContext, id RuleID) error {
-	span := m.spans.Child(sc)
-	start := m.spans.Now()
-	wall := time.Now()
-
-	m.mu.Lock()
-	r, ok := m.rules[id]
-	if !ok {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: %d", ErrUnknownRule, id)
-	}
-	delete(m.rules, id)
-	m.publishLocked()
-	fn := m.onFlush
-	m.mu.Unlock()
-
-	if fn != nil {
-		fn(span, []RuleID{id})
-	}
-	m.tte.Observe(time.Since(wall))
-	m.commitSpan(sc, span, start, "revoke", uint64(id), r.String())
-	m.auditMutation(span, "revoke", uint64(id), r.PDP, r.String())
-	return nil
-}
-
-// RevokeAll revokes every rule owned by the named PDP, returning how many
-// were removed.
-func (m *Manager) RevokeAll(pdp string) int {
-	return m.RevokeAllCtx(obs.SpanContext{}, pdp)
-}
-
-// RevokeAllCtx is RevokeAll carrying a causal span context (see InsertCtx).
-func (m *Manager) RevokeAllCtx(sc obs.SpanContext, pdp string) int {
-	span := m.spans.Child(sc)
-	start := m.spans.Now()
-	wall := time.Now()
-
-	m.mu.Lock()
-	var ids []RuleID
-	for id, r := range m.rules {
-		if r.PDP == pdp {
-			ids = append(ids, id)
+	if m.spans.Enabled() {
+		// A single-rule apply names its rule.
+		var ruleID uint64
+		detail := fmt.Sprintf("inserted %d, revoked %d", len(inserted), len(revoked))
+		switch {
+		case len(inserted) == 1 && len(revoked) == 0:
+			ruleID, detail = uint64(inserted[0].ID), "insert "+inserted[0].String()
+		case len(inserted) == 0 && len(revoked) == 1:
+			ruleID, detail = uint64(revoked[0].ID), "revoke "+revoked[0].String()
 		}
+		m.spans.Commit(obs.Span{
+			Trace:     span.Trace,
+			ID:        span.Span,
+			Parent:    sc.Span,
+			Component: obs.CompPolicy,
+			Stage:     "apply",
+			Start:     start,
+			Duration:  m.spans.Now().Sub(start),
+			RuleID:    ruleID,
+			Detail:    detail,
+		})
 	}
-	for _, id := range ids {
-		delete(m.rules, id)
+	for _, r := range inserted {
+		m.auditMutation(span, "insert", r)
 	}
-	if len(ids) > 0 {
-		m.publishLocked()
+	for _, r := range revoked {
+		m.auditMutation(span, "revoke", r)
 	}
-	fn := m.onFlush
-	m.mu.Unlock()
-
-	if len(ids) == 0 {
-		return 0
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	if fn != nil {
-		fn(span, ids)
-	}
-	m.tte.Observe(time.Since(wall))
-	m.commitSpan(sc, span, start, "revoke_all", 0, fmt.Sprintf("pdp=%s revoked=%d", pdp, len(ids)))
-	m.auditMutation(span, "revoke_all", 0, pdp, fmt.Sprintf("revoked %d rules", len(ids)))
-	return len(ids)
+	return ids, nil
 }
 
-// commitSpan records one mutation span; a no-op without WithTracing.
-// Duration includes the synchronous flush the mutation triggered, so the
-// span measures time-to-enforcement, the paper's Fig. 5/6 quantity.
-func (m *Manager) commitSpan(parent, span obs.SpanContext, start time.Time, op string, ruleID uint64, detail string) {
-	if !m.spans.Enabled() {
-		return
-	}
-	m.spans.Commit(obs.Span{
-		Trace:     span.Trace,
-		ID:        span.Span,
-		Parent:    parent.Span,
-		Component: obs.CompPolicy,
-		Stage:     op,
-		Start:     start,
-		Duration:  m.spans.Now().Sub(start),
-		RuleID:    ruleID,
-		Detail:    detail,
-	})
-}
-
-// auditMutation appends one kind="policy" record; a no-op without
-// WithAuditLog.
-func (m *Manager) auditMutation(span obs.SpanContext, op string, ruleID uint64, pdp, detail string) {
+// auditMutation appends one kind="policy" record for a changed rule; a
+// no-op without WithAuditLog.
+func (m *Manager) auditMutation(span obs.SpanContext, op string, r *Rule) {
 	m.audit.Append(obs.AuditRecord{
 		Kind:        "policy",
 		Op:          op,
 		Trace:       uint64(span.Trace),
-		RuleID:      ruleID,
-		PDP:         pdp,
+		RuleID:      uint64(r.ID),
+		PDP:         r.PDP,
 		PolicyEpoch: m.Epoch(),
-		Detail:      detail,
+		Detail:      r.String(),
 	})
 }
 
@@ -393,9 +365,10 @@ func (m *Manager) Snapshot() *Snapshot {
 	return m.snap.Load()
 }
 
-// Epoch returns the current policy epoch: a counter that increases on
-// every insert, revoke and revoke-all. A Decision carrying an older epoch
-// was made against a policy that has since changed.
+// Epoch returns the current policy epoch: a counter that increases once
+// per accepted ApplyCtx, however many rules it changed. A Decision
+// carrying an older epoch was made against a policy that has since
+// changed.
 func (m *Manager) Epoch() uint64 {
 	return m.snap.Load().epoch
 }

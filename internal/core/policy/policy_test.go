@@ -2,6 +2,7 @@ package policy
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -314,21 +315,33 @@ func TestNonOverlappingInsertNoFlush(t *testing.T) {
 	}
 }
 
+// TestRevokeAll revokes every rule of one PDP in a single apply: the
+// other PDP's rule stays, and the one flush names exactly the revoked ids,
+// sorted, with a repeated id flushed once.
 func TestRevokeAll(t *testing.T) {
 	m := newManagerWithPDPs(t)
+	var low []RuleID
 	for i := 0; i < 5; i++ {
-		if _, err := m.Insert(Rule{PDP: "low", Action: ActionDeny}); err != nil {
+		id, err := m.Insert(Rule{PDP: "low", Action: ActionDeny})
+		if err != nil {
 			t.Fatal(err)
 		}
+		low = append(low, id)
 	}
 	if _, err := m.Insert(Rule{PDP: "high", Action: ActionDeny}); err != nil {
 		t.Fatal(err)
 	}
-	if n := m.RevokeAll("low"); n != 5 {
-		t.Fatalf("RevokeAll = %d, want 5", n)
+	var flushes [][]RuleID
+	m.SetFlushFunc(func(_ obs.SpanContext, ids []RuleID) { flushes = append(flushes, ids) })
+	revokes := []RuleID{low[3], low[0], low[4], low[1], low[2], low[3]}
+	if _, err := m.ApplyCtx(obs.SpanContext{}, nil, revokes); err != nil {
+		t.Fatal(err)
 	}
 	if m.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", m.Len())
+	}
+	if len(flushes) != 1 || !slices.Equal(flushes[0], low) {
+		t.Fatalf("flushes = %v, want one of %v", flushes, low)
 	}
 }
 

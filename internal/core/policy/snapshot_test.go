@@ -1,10 +1,13 @@
 package policy
 
 import (
+	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/dfi-sdn/dfi/internal/netpkt"
+	"github.com/dfi-sdn/dfi/internal/obs"
 )
 
 // referenceQuery is the seed's O(rules) linear scan, kept as the oracle the
@@ -179,11 +182,15 @@ func TestQueryReturnsSnapshotPointer(t *testing.T) {
 	}
 }
 
-// TestEpochSemantics: the epoch bumps exactly once per effective mutation,
-// never on failed or read-only operations, and every decision carries the
-// epoch of the snapshot that produced it.
+// TestEpochSemantics: the epoch bumps exactly once per effective mutation
+// — however many rules one apply changes — never on failed, empty or
+// read-only operations, and every decision carries the epoch of the
+// snapshot that produced it. A rejected apply also leaves the rules and
+// the flush callback untouched.
 func TestEpochSemantics(t *testing.T) {
 	m := NewManager()
+	flushes := 0
+	m.SetFlushFunc(func(obs.SpanContext, []RuleID) { flushes++ })
 	if e := m.Epoch(); e != 0 {
 		t.Fatalf("fresh manager epoch = %d, want 0", e)
 	}
@@ -222,22 +229,50 @@ func TestEpochSemantics(t *testing.T) {
 	if e := m.Epoch(); e != 2 {
 		t.Fatalf("failed revoke bumped the epoch to %d", e)
 	}
-	if n := m.RevokeAll("p"); n != 0 {
-		t.Fatalf("RevokeAll removed %d rules from an empty policy", n)
+	if _, err := m.ApplyCtx(obs.SpanContext{}, nil, nil); err != nil {
+		t.Fatal(err)
 	}
-	if e := m.Epoch(); e != 2 {
-		t.Fatalf("no-op RevokeAll bumped the epoch to %d", e)
+	if e := m.Epoch(); e != 2 || flushes != 2 {
+		t.Fatalf("empty apply: epoch %d, flushes %d, want 2 and 2", e, flushes)
 	}
-	for i := 0; i < 3; i++ {
-		if _, err := m.Insert(Rule{PDP: "p", Action: ActionDeny}); err != nil {
-			t.Fatal(err)
+
+	// One batched apply of three inserts is one epoch and one flush.
+	deny := Rule{PDP: "p", Action: ActionDeny}
+	ids, err := m.ApplyCtx(obs.SpanContext{}, []Rule{deny, deny, deny}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := m.Epoch(); e != 3 || flushes != 3 || m.Len() != 3 {
+		t.Fatalf("batched insert: epoch %d, flushes %d, rules %d, want 3, 3, 3", e, flushes, m.Len())
+	}
+
+	// Rejected applies change nothing, even where the rest of the batch is
+	// valid: an insert from an unknown PDP, a revoke of an unknown id.
+	before := m.Rules()
+	rejected := []struct {
+		name    string
+		inserts []Rule
+		revokes []RuleID
+		want    error
+	}{
+		{"unknown PDP", []Rule{deny, {PDP: "nope"}}, ids[:1], ErrUnknownPDP},
+		{"unknown id", []Rule{deny}, []RuleID{ids[0], id}, ErrUnknownRule},
+	}
+	for _, tc := range rejected {
+		if _, err := m.ApplyCtx(obs.SpanContext{}, tc.inserts, tc.revokes); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		if e := m.Epoch(); e != 3 || flushes != 3 || !reflect.DeepEqual(m.Rules(), before) {
+			t.Fatalf("%s: rejected apply changed state: epoch %d, flushes %d, rules %v", tc.name, e, flushes, m.Rules())
 		}
 	}
-	if n := m.RevokeAll("p"); n != 3 {
-		t.Fatalf("RevokeAll removed %d rules, want 3", n)
+
+	// A batched revoke-and-insert is one epoch too.
+	if _, err := m.ApplyCtx(obs.SpanContext{}, []Rule{deny}, ids); err != nil {
+		t.Fatal(err)
 	}
-	if e := m.Epoch(); e != 6 {
-		t.Fatalf("epoch after 3 inserts + RevokeAll = %d, want 6", e)
+	if e := m.Epoch(); e != 4 || flushes != 4 || m.Len() != 1 {
+		t.Fatalf("batched revoke+insert: epoch %d, flushes %d, rules %d, want 4, 4, 1", e, flushes, m.Len())
 	}
 }
 

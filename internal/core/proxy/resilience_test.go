@@ -137,11 +137,12 @@ func TestTwoSwitchesOneControlPlane(t *testing.T) {
 	if err := s.pm.RegisterPDP("test", 50); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.pm.Insert(policy.Rule{
+	id, err := s.pm.Insert(policy.Rule{
 		PDP: "test", Action: policy.ActionAllow,
 		Src: policy.EndpointSpec{Host: "host-a"},
 		Dst: policy.EndpointSpec{Host: "host-b"},
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -184,7 +185,9 @@ func TestTwoSwitchesOneControlPlane(t *testing.T) {
 		"rules on both switches")
 
 	// A revocation flushes on BOTH switches.
-	s.pm.RevokeAll("test")
+	if err := s.pm.Revoke(id); err != nil {
+		t.Fatal(err)
+	}
 	waitCond(t, func() bool { return s.sw.FlowCount(0) == 0 && sw2.FlowCount(0) == 0 },
 		"flush reached both switches")
 }

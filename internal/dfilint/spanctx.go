@@ -11,10 +11,10 @@ import (
 // every downstream Publish call and every *Ctx call it makes must carry
 // that context (or a value derived from it, such as ev.Trace or an Event
 // literal whose Trace field copies it). Calling Publish with a fresh
-// zero-Trace event, or an InsertCtx/RevokeCtx/IsolateCtx with a zero
-// SpanContext, silently severs the trace: the downstream spans re-root
-// and the sensor→binding→revoke→flush chain the tracing pipeline exists
-// to reconstruct falls apart — with no runtime symptom at all.
+// zero-Trace event, or an ApplyCtx/IsolateCtx with a zero SpanContext,
+// silently severs the trace: the downstream spans re-root and the
+// sensor→binding→apply→flush chain the tracing pipeline exists to
+// reconstruct falls apart — with no runtime symptom at all.
 //
 // The analysis is per function: the Event/SpanContext parameters seed a
 // taint set, assignments whose right-hand side mentions a tainted value
@@ -100,7 +100,7 @@ func (a *spanCtx) checkFunc(pass *Pass, fd *ast.FuncDecl) {
 }
 
 // isCtxSink reports whether a callee name is a span-context sink: bus
-// publication or one of the *Ctx entry points (InsertCtx, RevokeCtx,
+// publication or one of the *Ctx entry points (Manager.ApplyCtx,
 // IsolateCtx, ...).
 func isCtxSink(name string) bool {
 	return name == "Publish" || (len(name) > len("Ctx") && strings.HasSuffix(name, "Ctx"))

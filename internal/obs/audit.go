@@ -29,7 +29,7 @@ type AuditRecord struct {
 	// so the hashed serialization is byte-stable across re-marshals.
 	Time string `json:"time"`
 	// Kind is "decision", "policy" or "binding"; Op refines it
-	// (allow/deny/error, insert/revoke/revoke_all/flush, bind/unbind).
+	// (allow/deny/error, insert/revoke/flush, bind/unbind).
 	Kind string `json:"kind"`
 	Op   string `json:"op"`
 	// Trace links the record to its causal trace when spans are collected.

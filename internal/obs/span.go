@@ -54,7 +54,7 @@ type Span struct {
 	ID     uint64
 	Parent uint64
 	// Component and Stage say who did what: ("bus","publish"),
-	// ("entity","binding_update"), ("policy","revoke"),
+	// ("entity","binding_update"), ("policy","apply"),
 	// ("pcp","flush_compile"),
 	// ("proxy","flow_mod_write"), ("pcp","admission") and its child
 	// stages, ...

@@ -2,12 +2,14 @@ package compile
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"github.com/dfi-sdn/dfi/internal/core/policy"
+	"github.com/dfi-sdn/dfi/internal/obs"
 	"github.com/dfi-sdn/dfi/internal/policytext"
 	"github.com/dfi-sdn/dfi/internal/simclock"
 )
@@ -18,7 +20,10 @@ import (
 // SetSource, a group-membership change, a template instantiation, a
 // temporal window opening — applies only the insert/revoke delta: rules
 // whose definition is unchanged keep their RuleID, so their installed flow
-// rules (tagged with that id as cookie) survive the change.
+// rules (tagged with that id as cookie) survive the change. Each operation
+// plans its whole delta first and lands it as one Manager.ApplyCtx: one
+// snapshot, one epoch, one flush, and no admission ever decides against a
+// half-applied change.
 //
 // All methods are safe for concurrent use.
 type Engine struct {
@@ -46,10 +51,16 @@ type runtimeStmt struct {
 }
 
 type installedRule struct {
-	id      policy.RuleID
-	rule    policy.Rule
-	prov    Provenance
-	stmtKey string
+	id   policy.RuleID
+	rule policy.Rule
+	prov Provenance
+}
+
+// stored is the rule as the manager holds it, id included.
+func (inst installedRule) stored() policy.Rule {
+	r := inst.rule
+	r.ID = inst.id
+	return r
 }
 
 type templateInstance struct {
@@ -91,8 +102,7 @@ func (e *Engine) Compiled() []CompiledRule {
 	defer e.mu.Unlock()
 	out := make([]CompiledRule, 0, len(e.installed))
 	for key, inst := range e.installed {
-		r := inst.rule
-		r.ID = inst.id
+		r := inst.stored()
 		if prio, ok := e.pm.PDPPriority(r.PDP); ok {
 			r.Priority = prio
 		}
@@ -162,7 +172,7 @@ func (e *Engine) SetSource(src string) (Delta, error) {
 }
 
 // Diff compiles a proposed document and returns the delta applying it
-// would produce, without changing anything. Inserted rules carry no IDs
+// would produce, without changing the policy. Inserted rules carry no IDs
 // (none are assigned); revoked rules carry the IDs that would be revoked.
 func (e *Engine) Diff(src string) (Delta, error) {
 	e.mu.Lock()
@@ -171,18 +181,13 @@ func (e *Engine) Diff(src string) (Delta, error) {
 	if err != nil {
 		return Delta{}, err
 	}
+	inserts, revokes := e.deltaLocked(e.documentWant(p))
 	var d Delta
-	for key, inst := range e.installed {
-		if _, keep := p.rules[key]; !keep {
-			r := inst.rule
-			r.ID = inst.id
-			d.Revoke = append(d.Revoke, r)
-		}
+	for _, cr := range inserts {
+		d.Insert = append(d.Insert, cr.Rule)
 	}
-	for key, cr := range p.rules {
-		if _, have := e.installed[key]; !have {
-			d.Insert = append(d.Insert, cr.Rule)
-		}
+	for _, key := range revokes {
+		d.Revoke = append(d.Revoke, e.installed[key].stored())
 	}
 	sortDelta(&d)
 	return d, nil
@@ -193,7 +198,7 @@ type plannedState struct {
 	doc       *policytext.Document
 	stmts     map[string]*runtimeStmt
 	order     []string
-	rules     map[string]CompiledRule // desired installed set
+	rules     desired // the whole desired installed set
 	instances map[string]templateInstance
 }
 
@@ -214,7 +219,7 @@ func (e *Engine) plan(src string) (*plannedState, error) {
 	p := &plannedState{
 		doc:       doc,
 		stmts:     map[string]*runtimeStmt{},
-		rules:     map[string]CompiledRule{},
+		rules:     desired{},
 		instances: map[string]templateInstance{},
 	}
 	addStmt := func(rs policytext.RuleStmt, tmpl string) *policytext.ParseError {
@@ -230,9 +235,7 @@ func (e *Engine) plan(src string) (*plannedState, error) {
 		p.stmts[key] = st
 		p.order = append(p.order, key)
 		if st.active {
-			for _, cr := range crs {
-				p.rules[cr.Key] = cr
-			}
+			p.rules.set(key, crs)
 		}
 		return nil
 	}
@@ -263,8 +266,8 @@ func (e *Engine) plan(src string) (*plannedState, error) {
 }
 
 // applyPlan swaps the engine onto a planned state, applying the rule
-// delta through the manager. PDP registration happens first and is
-// additive; rule mutations only start once every new PDP registered
+// delta through the manager as one apply. PDP registration happens first
+// and is additive; the apply only starts once every new PDP registered
 // cleanly.
 func (e *Engine) applyPlan(p *plannedState) (Delta, error) {
 	for _, decl := range p.doc.PDPs {
@@ -275,60 +278,15 @@ func (e *Engine) applyPlan(p *plannedState) (Delta, error) {
 			return Delta{}, policytext.ErrorList{perrf(decl.Line, "register pdp %q: %v", decl.Name, err)}
 		}
 	}
-	var insertKeys, revokeKeys []string
-	for key := range p.rules {
-		if _, have := e.installed[key]; !have {
-			insertKeys = append(insertKeys, key)
-		}
+	d, err := e.commitLocked(obs.SpanContext{}, e.documentWant(p))
+	if err != nil {
+		return Delta{}, err
 	}
-	for key := range e.installed {
-		if _, keep := p.rules[key]; !keep {
-			revokeKeys = append(revokeKeys, key)
-		}
-	}
-	sort.Strings(insertKeys)
-	sort.Strings(revokeKeys)
-
-	var d Delta
-	installed := make(map[string]installedRule, len(p.rules))
-	for key, inst := range e.installed {
-		if _, keep := p.rules[key]; keep {
-			// Unchanged definition: the rule stays in place, ID intact, but
-			// adopt the new plan's provenance/statement association.
-			cr := p.rules[key]
-			installed[key] = installedRule{id: inst.id, rule: cr.Rule, prov: cr.Prov, stmtKey: stmtOf(key)}
-		}
-	}
-	for _, key := range insertKeys {
-		cr := p.rules[key]
-		id, err := e.pm.Insert(cr.Rule)
-		if err != nil {
-			// Unreachable in practice (PDPs are registered above); surface
-			// rather than silently losing the rule.
-			return d, policytext.ErrorList{perrf(cr.Prov.Line, "insert rule: %v", err)}
-		}
-		r := cr.Rule
-		r.ID = id
-		installed[key] = installedRule{id: id, rule: cr.Rule, prov: cr.Prov, stmtKey: stmtOf(key)}
-		d.Insert = append(d.Insert, r)
-	}
-	for _, key := range revokeKeys {
-		inst := e.installed[key]
-		if err := e.pm.Revoke(inst.id); err == nil {
-			r := inst.rule
-			r.ID = inst.id
-			d.Revoke = append(d.Revoke, r)
-		}
-	}
-
 	e.doc = p.doc
 	e.stmts = p.stmts
 	e.order = p.order
 	e.instances = p.instances
-	e.installed = installed
-	e.rebuildByStmt()
 	e.rearmTimerLocked()
-	sortDelta(&d)
 	return d, nil
 }
 
@@ -341,15 +299,118 @@ func stmtOf(ruleKey string) string {
 	return ruleKey
 }
 
-func (e *Engine) rebuildByStmt() {
-	e.byStmt = map[string]map[string]bool{}
-	for key, inst := range e.installed {
-		set := e.byStmt[inst.stmtKey]
-		if set == nil {
-			set = map[string]bool{}
-			e.byStmt[inst.stmtKey] = set
+// desired is one engine mutation's plan: for every statement the mutation
+// touches, the rules that statement should have installed afterwards,
+// keyed by rule key. A touched statement with no rules maps to nil.
+type desired map[string]map[string]CompiledRule
+
+// set makes statement sk want exactly crs.
+func (w desired) set(sk string, crs []CompiledRule) {
+	w[sk] = make(map[string]CompiledRule, len(crs))
+	for _, cr := range crs {
+		w[sk][cr.Key] = cr
+	}
+}
+
+// documentWant is the plan for swapping onto p: it touches every statement
+// installed now or planned by p, so statements p dropped lose their rules.
+func (e *Engine) documentWant(p *plannedState) desired {
+	want := make(desired, len(e.byStmt)+len(p.rules))
+	for sk := range e.byStmt {
+		want[sk] = nil
+	}
+	maps.Copy(want, p.rules)
+	return want
+}
+
+// deltaLocked splits want into the rules to insert and the installed rule
+// keys to revoke, each in key order so id assignment is deterministic. It
+// first forgets rules revoked behind the engine's back.
+func (e *Engine) deltaLocked(want desired) (inserts []CompiledRule, revokes []string) {
+	e.forgetRevokedLocked()
+	for sk, rules := range want {
+		for key, cr := range rules {
+			if !e.byStmt[sk][key] {
+				inserts = append(inserts, cr)
+			}
 		}
-		set[key] = true
+		for key := range e.byStmt[sk] {
+			if _, keep := rules[key]; !keep {
+				revokes = append(revokes, key)
+			}
+		}
+	}
+	sort.Slice(inserts, func(i, j int) bool { return inserts[i].Key < inserts[j].Key })
+	sort.Strings(revokes)
+	return inserts, revokes
+}
+
+// commitLocked turns want into one Manager.ApplyCtx: every rule a touched
+// statement newly wants is inserted and every installed rule it no longer
+// wants is revoked, in one snapshot, one epoch and one flush. The
+// installed set changes only once the manager accepted the apply; a
+// rejected apply returns its error with the engine as it was.
+func (e *Engine) commitLocked(sc obs.SpanContext, want desired) (Delta, error) {
+	inserts, revokes := e.deltaLocked(want)
+	insertRules := make([]policy.Rule, len(inserts))
+	for i, cr := range inserts {
+		insertRules[i] = cr.Rule
+	}
+	revokeIDs := make([]policy.RuleID, len(revokes))
+	for i, key := range revokes {
+		revokeIDs[i] = e.installed[key].id
+	}
+	ids, err := e.pm.ApplyCtx(sc, insertRules, revokeIDs) // an empty delta is no apply
+	if err != nil {
+		return Delta{}, policytext.ErrorList{perrf(0, "apply policy delta: %v", err)}
+	}
+
+	var d Delta
+	for _, key := range revokes {
+		d.Revoke = append(d.Revoke, e.installed[key].stored())
+		e.forgetLocked(key)
+	}
+	for i, cr := range inserts {
+		e.installed[cr.Key] = installedRule{id: ids[i]}
+		sk := stmtOf(cr.Key)
+		if e.byStmt[sk] == nil {
+			e.byStmt[sk] = map[string]bool{}
+		}
+		e.byStmt[sk][cr.Key] = true
+		d.Insert = append(d.Insert, cr.Rule)
+		d.Insert[i].ID = ids[i]
+	}
+	// Every wanted rule, new or kept in place with its ID, takes the plan's
+	// provenance: a kept rule's line or group chain may have moved.
+	for _, rules := range want {
+		for key, cr := range rules {
+			inst := e.installed[key]
+			inst.rule, inst.prov = cr.Rule, cr.Prov
+			e.installed[key] = inst
+		}
+	}
+	sortDelta(&d)
+	return d, nil
+}
+
+// forgetRevokedLocked drops installed rules that an in-process caller
+// revoked behind the engine's back (Manager.Revoke on an engine-owned id).
+// Kept, such an id would reject every later apply that revokes it, and
+// SetSource would never re-insert a rule its document still asks for.
+func (e *Engine) forgetRevokedLocked() {
+	snap := e.pm.Snapshot()
+	for key, inst := range e.installed {
+		if snap.Get(inst.id) == nil {
+			e.forgetLocked(key)
+		}
+	}
+}
+
+func (e *Engine) forgetLocked(key string) {
+	delete(e.installed, key)
+	sk := stmtOf(key)
+	if delete(e.byStmt[sk], key); len(e.byStmt[sk]) == 0 {
+		delete(e.byStmt, sk)
 	}
 }
 
@@ -419,15 +480,12 @@ func (e *Engine) changeMember(group, memberText string, add bool) (Delta, error)
 }
 
 // recomputeDependents re-lowers every statement whose dependency set
-// intersects changed and applies the per-statement deltas. Lowering of
-// all affected statements is validated before any rule is touched, so a
+// intersects changed and applies the combined delta as one apply. Lowering
+// of all affected statements is validated before any rule is touched, so a
 // bad membership change rejects cleanly.
 func (e *Engine) recomputeDependents(changed map[string]bool) (Delta, error) {
-	type relowered struct {
-		st  *runtimeStmt
-		crs []CompiledRule
-	}
-	var affected []relowered
+	want := desired{}
+	var affected []*runtimeStmt
 	for _, key := range e.order {
 		st := e.stmts[key]
 		hit := false
@@ -444,65 +502,20 @@ func (e *Engine) recomputeDependents(changed map[string]bool) (Delta, error) {
 		if err != nil {
 			return Delta{}, policytext.ErrorList{err}
 		}
-		affected = append(affected, relowered{st: st, crs: crs})
-	}
-	var d Delta
-	for _, a := range affected {
-		a.st.deps = stmtDeps(e.doc, a.st.rs)
-		desired := map[string]CompiledRule{}
-		if a.st.active {
-			for _, cr := range a.crs {
-				desired[cr.Key] = cr
-			}
+		affected = append(affected, st)
+		if !st.active {
+			crs = nil
 		}
-		e.applyStmtDelta(a.st.key, desired, &d)
+		want.set(st.key, crs)
 	}
-	sortDelta(&d)
+	d, err := e.commitLocked(obs.SpanContext{}, want)
+	if err != nil {
+		return Delta{}, err
+	}
+	for _, st := range affected {
+		st.deps = stmtDeps(e.doc, st.rs)
+	}
 	return d, nil
-}
-
-// applyStmtDelta reconciles one statement's installed rules with the
-// desired set, appending what changed to d.
-func (e *Engine) applyStmtDelta(stmtKey string, desired map[string]CompiledRule, d *Delta) {
-	have := e.byStmt[stmtKey]
-	var insertKeys, revokeKeys []string
-	for key := range desired {
-		if !have[key] {
-			insertKeys = append(insertKeys, key)
-		}
-	}
-	for key := range have {
-		if _, keep := desired[key]; !keep {
-			revokeKeys = append(revokeKeys, key)
-		}
-	}
-	sort.Strings(insertKeys)
-	sort.Strings(revokeKeys)
-	for _, key := range insertKeys {
-		cr := desired[key]
-		id, err := e.pm.Insert(cr.Rule)
-		if err != nil {
-			continue
-		}
-		e.installed[key] = installedRule{id: id, rule: cr.Rule, prov: cr.Prov, stmtKey: stmtKey}
-		if e.byStmt[stmtKey] == nil {
-			e.byStmt[stmtKey] = map[string]bool{}
-		}
-		e.byStmt[stmtKey][key] = true
-		r := cr.Rule
-		r.ID = id
-		d.Insert = append(d.Insert, r)
-	}
-	for _, key := range revokeKeys {
-		inst := e.installed[key]
-		if err := e.pm.Revoke(inst.id); err == nil {
-			r := inst.rule
-			r.ID = inst.id
-			d.Revoke = append(d.Revoke, r)
-		}
-		delete(e.installed, key)
-		delete(e.byStmt[stmtKey], key)
-	}
 }
 
 // InstanceKey renders a template instance identity, e.g. "quarantine(h7)".
@@ -510,11 +523,13 @@ func InstanceKey(name string, args []string) string {
 	return name + "(" + strings.Join(args, ",") + ")"
 }
 
-// Instantiate applies a template with the given arguments, inserting the
-// rules its body lowers to. Instantiating an already-active instance is a
-// no-op. The instance stays active until Retract (or until a SetSource
-// whose document no longer carries a compatible template).
-func (e *Engine) Instantiate(name string, args ...string) (Delta, error) {
+// Instantiate applies a template with the given arguments, inserting every
+// rule its body lowers to in one apply, so no admission sees half an
+// instance. sc parents the apply's span (the compromise event's publish
+// span, when a sensor drives it). Instantiating an already-active instance
+// is a no-op. The instance stays active until Retract (or until a
+// SetSource whose document no longer carries a compatible template).
+func (e *Engine) Instantiate(sc obs.SpanContext, name string, args ...string) (Delta, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	key := InstanceKey(name, args)
@@ -526,72 +541,73 @@ func (e *Engine) Instantiate(name string, args ...string) (Delta, error) {
 		return Delta{}, policytext.AsErrorList(err)
 	}
 	now := e.sched.Now()
-	var d Delta
+	want := desired{}
+	var added []*runtimeStmt
 	windowed := false
 	for _, rs := range stmts {
 		crs, lerr := lowerStmt(e.doc, rs, key)
 		if lerr != nil {
-			// Roll back statements already applied for this instance.
-			e.retractLocked(key, &Delta{})
 			return Delta{}, policytext.ErrorList{lerr}
 		}
 		sk := stmtKey(rs, key)
-		if _, dup := e.stmts[sk]; dup {
-			continue
+		if _, dup := want[sk]; dup {
+			continue // identical duplicate line in the template body
 		}
 		st := &runtimeStmt{key: sk, rs: rs, tmpl: key, deps: stmtDeps(e.doc, rs), active: rs.Window.Active(now)}
-		e.stmts[sk] = st
-		e.order = append(e.order, sk)
-		if !rs.Window.IsZero() {
-			windowed = true
+		added = append(added, st)
+		if !st.active {
+			crs = nil
 		}
-		if st.active {
-			desired := map[string]CompiledRule{}
-			for _, cr := range crs {
-				desired[cr.Key] = cr
-			}
-			e.applyStmtDelta(sk, desired, &d)
-		}
+		want.set(sk, crs)
+		windowed = windowed || !rs.Window.IsZero()
+	}
+	d, err := e.commitLocked(sc, want)
+	if err != nil {
+		return Delta{}, err
+	}
+	for _, st := range added {
+		e.stmts[st.key] = st
+		e.order = append(e.order, st.key)
 	}
 	e.instances[key] = templateInstance{name: name, args: args}
 	if windowed {
 		e.rearmTimerLocked()
 	}
-	sortDelta(&d)
 	return d, nil
 }
 
-// Retract removes a template instance, revoking the rules it inserted.
-// Retracting an inactive instance is a no-op.
-func (e *Engine) Retract(name string, args ...string) (Delta, error) {
+// Retract removes a template instance, revoking the rules it inserted in
+// one apply; sc parents the apply's span. Retracting an inactive instance
+// is a no-op.
+func (e *Engine) Retract(sc obs.SpanContext, name string, args ...string) (Delta, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	key := InstanceKey(name, args)
 	if _, active := e.instances[key]; !active {
 		return Delta{}, nil
 	}
-	var d Delta
-	e.retractLocked(key, &d)
-	delete(e.instances, key)
-	e.rearmTimerLocked()
-	sortDelta(&d)
-	return d, nil
-}
-
-// retractLocked removes every statement belonging to a template instance.
-func (e *Engine) retractLocked(instanceKey string, d *Delta) {
+	want := desired{}
+	for _, sk := range e.order {
+		if e.stmts[sk].tmpl == key {
+			want[sk] = nil
+		}
+	}
+	d, err := e.commitLocked(sc, want)
+	if err != nil {
+		return Delta{}, err
+	}
 	keep := e.order[:0]
 	for _, sk := range e.order {
-		st := e.stmts[sk]
-		if st.tmpl != instanceKey {
+		if _, gone := want[sk]; gone {
+			delete(e.stmts, sk)
+		} else {
 			keep = append(keep, sk)
-			continue
 		}
-		e.applyStmtDelta(sk, nil, d)
-		delete(e.byStmt, sk)
-		delete(e.stmts, sk)
 	}
 	e.order = keep
+	delete(e.instances, key)
+	e.rearmTimerLocked()
+	return d, nil
 }
 
 // instantiateStmts substitutes args into the template body and parses the
@@ -662,8 +678,10 @@ func (e *Engine) rearmTimerLocked() {
 	e.timerStop = e.sched.AfterFunc(next.Sub(now), func() { e.onWindowTimer(gen) })
 }
 
-// onWindowTimer re-evaluates every windowed statement's active state and
-// applies the deltas for those that flipped, then re-arms.
+// onWindowTimer re-evaluates every windowed statement's active state,
+// applies the deltas of those that flipped as one apply, then re-arms. A
+// rejected apply (an engine-owned id revoked concurrently behind its back)
+// leaves every statement as it was.
 func (e *Engine) onWindowTimer(gen uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -671,31 +689,29 @@ func (e *Engine) onWindowTimer(gen uint64) {
 		return
 	}
 	now := e.sched.Now()
-	var d Delta
+	want := desired{}
+	var flipped []*runtimeStmt
 	for _, sk := range e.order {
 		st := e.stmts[sk]
-		if st.rs.Window.IsZero() {
+		if st.rs.Window.IsZero() || st.rs.Window.Active(now) == st.active {
 			continue
 		}
-		active := st.rs.Window.Active(now)
-		if active == st.active {
-			continue
-		}
-		st.active = active
-		desired := map[string]CompiledRule{}
-		if active {
-			crs, err := lowerStmt(e.doc, st.rs, st.tmpl)
-			if err != nil {
-				// Lowering was valid when last checked; leave the statement
-				// contributing nothing rather than partially applying.
-				st.active = false
+		var crs []CompiledRule
+		if !st.active {
+			var err *policytext.ParseError
+			if crs, err = lowerStmt(e.doc, st.rs, st.tmpl); err != nil {
+				// Unreachable: document and group edits re-validate every
+				// statement. If not, it stays inactive rather than partial.
 				continue
 			}
-			for _, cr := range crs {
-				desired[cr.Key] = cr
-			}
 		}
-		e.applyStmtDelta(sk, desired, &d)
+		want.set(sk, crs)
+		flipped = append(flipped, st)
+	}
+	if _, err := e.commitLocked(obs.SpanContext{}, want); err == nil {
+		for _, st := range flipped {
+			st.active = !st.active
+		}
 	}
 	e.rearmTimerLocked()
 }

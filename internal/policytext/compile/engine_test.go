@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/dfi-sdn/dfi/internal/core/policy"
+	"github.com/dfi-sdn/dfi/internal/obs"
 	"github.com/dfi-sdn/dfi/internal/simclock"
 )
 
@@ -205,7 +206,7 @@ func TestTemplateInstantiateRetract(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := pm.Len()
-	d, err := eng.Instantiate("quarantine", "h7")
+	d, err := eng.Instantiate(obs.SpanContext{}, "quarantine", "h7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,32 +222,32 @@ func TestTemplateInstantiateRetract(t *testing.T) {
 		t.Fatalf("instances = %v", got)
 	}
 	// Idempotent instantiate; independent second instance.
-	if d, err = eng.Instantiate("quarantine", "h7"); err != nil || !d.Empty() {
+	if d, err = eng.Instantiate(obs.SpanContext{}, "quarantine", "h7"); err != nil || !d.Empty() {
 		t.Fatalf("re-instantiate: %v %v", d, err)
 	}
-	if _, err = eng.Instantiate("quarantine", "h9"); err != nil {
+	if _, err = eng.Instantiate(obs.SpanContext{}, "quarantine", "h9"); err != nil {
 		t.Fatal(err)
 	}
 	if pm.Len() != base+4 {
 		t.Fatalf("manager has %d rules, want %d", pm.Len(), base+4)
 	}
 	// Retract one instance; the other survives.
-	d, err = eng.Retract("quarantine", "h7")
+	d, err = eng.Retract(obs.SpanContext{}, "quarantine", "h7")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(d.Revoke) != 2 || pm.Len() != base+2 {
 		t.Fatalf("retract delta = %+v, len = %d", d, pm.Len())
 	}
-	if d, err = eng.Retract("quarantine", "h7"); err != nil || !d.Empty() {
+	if d, err = eng.Retract(obs.SpanContext{}, "quarantine", "h7"); err != nil || !d.Empty() {
 		t.Fatalf("re-retract: %v %v", d, err)
 	}
 
 	// Errors: unknown template, arity mismatch.
-	if _, err = eng.Instantiate("ghost", "x"); err == nil {
+	if _, err = eng.Instantiate(obs.SpanContext{}, "ghost", "x"); err == nil {
 		t.Fatal("unknown template accepted")
 	}
-	if _, err = eng.Instantiate("quarantine"); err == nil {
+	if _, err = eng.Instantiate(obs.SpanContext{}, "quarantine"); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
 }
@@ -256,7 +257,7 @@ func TestTemplateInstancesSurviveCompatibleSetSource(t *testing.T) {
 	if _, err := eng.SetSource(engineDoc); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Instantiate("quarantine", "h7"); err != nil {
+	if _, err := eng.Instantiate(obs.SpanContext{}, "quarantine", "h7"); err != nil {
 		t.Fatal(err)
 	}
 	// Compatible reload: instance rules stay, IDs intact.
@@ -430,7 +431,7 @@ template curfew(h) { deny from host $h between 22:00-06:00 }
 `); err != nil {
 		t.Fatal(err)
 	}
-	d, err := eng.Instantiate("curfew", "h7")
+	d, err := eng.Instantiate(obs.SpanContext{}, "curfew", "h7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +446,7 @@ template curfew(h) { deny from host $h between 22:00-06:00 }
 	if pm.Len() != 0 {
 		t.Fatalf("curfew still active at 07:00 (len=%d)", pm.Len())
 	}
-	if _, err := eng.Retract("curfew", "h7"); err != nil {
+	if _, err := eng.Retract(obs.SpanContext{}, "curfew", "h7"); err != nil {
 		t.Fatal(err)
 	}
 	end := sim.Run()
@@ -482,11 +483,11 @@ func TestConcurrentChurnAndQuery(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
 			host := fmt.Sprintf("h%d", i%3)
-			if _, err := eng.Instantiate("quarantine", host); err != nil {
+			if _, err := eng.Instantiate(obs.SpanContext{}, "quarantine", host); err != nil {
 				t.Error(err)
 				return
 			}
-			if _, err := eng.Retract("quarantine", host); err != nil {
+			if _, err := eng.Retract(obs.SpanContext{}, "quarantine", host); err != nil {
 				t.Error(err)
 				return
 			}

@@ -251,8 +251,9 @@ func AttachEntityManagerTraced(b *bus.Bus, em *entity.Manager, spans *obs.SpanSt
 
 // AttachQuarantineTemplate bridges compromise events to a policy-language
 // template: each CompromiseEvent instantiates template(host) on the
-// engine (a deny set compiled incrementally into the rule base) and each
-// Cleared event retracts that instance. Instantiation failures — e.g. the
+// engine (a deny set compiled incrementally into the rule base, landing as
+// one policy apply in the event's trace) and each Cleared event retracts
+// that instance. Instantiation failures — e.g. the
 // loaded document carries no such template — are counted by the returned
 // errs function rather than dropping the subscription. The cancel
 // function detaches the bridge.
@@ -265,9 +266,9 @@ func AttachQuarantineTemplate(b *bus.Bus, eng *compile.Engine, template string) 
 		}
 		var ierr error
 		if ce.Cleared {
-			_, ierr = eng.Retract(template, ce.Host)
+			_, ierr = eng.Retract(ev.Trace, template, ce.Host)
 		} else {
-			_, ierr = eng.Instantiate(template, ce.Host)
+			_, ierr = eng.Instantiate(ev.Trace, template, ce.Host)
 		}
 		if ierr != nil {
 			failed.Add(1)

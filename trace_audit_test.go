@@ -38,41 +38,89 @@ func newTracedSystem(t *testing.T, extra ...dfi.Option) *dfi.System {
 // TestRevocationTraceIsConnected drives the paper's dynamic-revocation
 // chain — sensor event → entity-binding update → policy revocation →
 // cookie-scoped flush → proxy flow-mod write — and asserts every hop lands
-// in ONE trace with correct parent edges. Run under -race this also
-// exercises the span store against concurrent bus delivery.
+// in ONE trace with correct parent edges. The template case is the
+// quarantine path dfid ships: a compromise event instantiates a 2-rule
+// deny template as one apply in the event's trace. Run under -race this
+// also exercises the span store against concurrent bus delivery.
 func TestRevocationTraceIsConnected(t *testing.T) {
-	sys := newTracedSystem(t)
-	sys.PCP().AttachSwitch(1, nopSwitch{})
+	t.Run("revoke", func(t *testing.T) {
+		sys := newTracedSystem(t)
+		sys.PCP().AttachSwitch(1, nopSwitch{})
 
-	pm := sys.Policy()
-	if err := pm.RegisterPDP("ops", 50); err != nil {
-		t.Fatal(err)
-	}
-	id, err := pm.Insert(policy.Rule{PDP: "ops", Action: policy.ActionAllow,
-		Src: policy.EndpointSpec{Host: "h1"}})
-	if err != nil {
-		t.Fatal(err)
-	}
+		pm := sys.Policy()
+		if err := pm.RegisterPDP("ops", 50); err != nil {
+			t.Fatal(err)
+		}
+		id, err := pm.Insert(policy.Rule{PDP: "ops", Action: policy.ActionAllow,
+			Src: policy.EndpointSpec{Host: "h1"}})
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	// A security component reacting to the same sensor event the entity
-	// manager consumes: revoke the rule, propagating the event's trace.
-	sub, err := sys.EventBus().Subscribe(sensors.TopicDHCP, func(ev bus.Event) {
-		if err := pm.RevokeCtx(ev.Trace, id); err != nil {
-			t.Errorf("revoke: %v", err)
+		// A security component reacting to the same sensor event the entity
+		// manager consumes: revoke the rule, propagating the event's trace.
+		sub, err := sys.EventBus().Subscribe(sensors.TopicDHCP, func(ev bus.Event) {
+			if _, err := pm.ApplyCtx(ev.Trace, nil, []policy.RuleID{id}); err != nil {
+				t.Errorf("revoke: %v", err)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Cancel()
+
+		sensors.NewDHCPSensor(sys.EventBus()).Record(
+			netpkt.MustParseIPv4("10.0.0.1"), netpkt.MustParseMAC("02:00:00:00:00:01"), true)
+
+		byComp := connectedTrace(t, sys, obs.CompBus, obs.CompEntity, obs.CompPolicy, obs.CompPCP, obs.CompProxy)
+		pub, ent, pol := byComp[obs.CompBus], byComp[obs.CompEntity], byComp[obs.CompPolicy]
+		if ent.Parent != pub.ID {
+			t.Errorf("entity span parent = %d, want bus publish %d", ent.Parent, pub.ID)
+		}
+		checkApplyChain(t, byComp)
+		if pol.RuleID != uint64(id) {
+			t.Errorf("policy span = %+v, want the apply revoking rule %d", pol, id)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Cancel()
 
-	sensors.NewDHCPSensor(sys.EventBus()).Record(
-		netpkt.MustParseIPv4("10.0.0.1"), netpkt.MustParseMAC("02:00:00:00:00:01"), true)
+	t.Run("template quarantine", func(t *testing.T) {
+		sys := newTracedSystem(t)
+		sys.PCP().AttachSwitch(1, nopSwitch{})
+		eng := sys.PolicyEngine()
+		// The quarantine denies outrank h1's allow, so instantiating the
+		// template flushes it.
+		if _, err := eng.SetSource(`
+pdp ops priority 10
+allow from host h1
+pdp quarantine priority 900
+template quarantine(h) { deny from host $h; deny to host $h }
+`); err != nil {
+			t.Fatal(err)
+		}
+		cancel, _, err := sensors.AttachQuarantineTemplate(sys.EventBus(), eng, "quarantine")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cancel()
+		if err := sys.EventBus().Publish(bus.Event{Topic: sensors.TopicCompromise,
+			Payload: sensors.CompromiseEvent{Host: "h1"}}); err != nil {
+			t.Fatal(err)
+		}
 
-	// Bus delivery and the revocation flush are asynchronous; poll for a
-	// single trace containing every hop.
-	want := []string{obs.CompBus, obs.CompEntity, obs.CompPolicy, obs.CompPCP, obs.CompProxy}
-	var linked []obs.Span
+		byComp := connectedTrace(t, sys, obs.CompBus, obs.CompPolicy, obs.CompPCP, obs.CompProxy)
+		checkApplyChain(t, byComp)
+		if pol := byComp[obs.CompPolicy]; pol.RuleID != 0 || pol.Detail != "inserted 2, revoked 0" {
+			t.Errorf("policy span = %+v, want one apply inserting both template rules", pol)
+		}
+	})
+}
+
+// connectedTrace waits for one trace holding a span of every listed
+// component and returns that trace's spans by component.
+func connectedTrace(t *testing.T, sys *dfi.System, want ...string) map[string]obs.Span {
+	t.Helper()
+	// Bus delivery and the flush are asynchronous, and the policy span is
+	// committed only after its flush returns; poll for the whole trace.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		byTrace := map[obs.TraceID]map[string]bool{}
@@ -90,43 +138,34 @@ func TestRevocationTraceIsConnected(t *testing.T) {
 				ok = ok && comps[w]
 			}
 			if ok {
-				linked = sys.Spans().ByTrace(id)
+				byComp := map[string]obs.Span{}
+				for _, sp := range sys.Spans().ByTrace(id) {
+					byComp[sp.Component] = sp
+				}
+				return byComp
 			}
-		}
-		if linked != nil {
-			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if linked == nil {
-		t.Fatalf("no single trace links %v; spans:\n%+v", want, sys.Spans().Last(128))
-	}
+	t.Fatalf("no single trace links %v; spans:\n%+v", want, sys.Spans().Last(128))
+	return nil
+}
 
-	// Check the causal edges, not just co-membership: every hop's Parent
-	// must be the span id of the hop that caused it.
-	byComp := map[string]obs.Span{}
-	for _, sp := range linked {
-		byComp[sp.Component] = sp
+// checkApplyChain checks the causal edges, not just co-membership, of
+// bus/publish → policy/apply → pcp/flush_compile → proxy/flow_mod_write:
+// every hop's Parent must be the span id of the hop that caused it.
+func checkApplyChain(t *testing.T, byComp map[string]obs.Span) {
+	t.Helper()
+	pub, pol := byComp[obs.CompBus], byComp[obs.CompPolicy]
+	flush, fm := byComp[obs.CompPCP], byComp[obs.CompProxy]
+	if pol.Parent != pub.ID || pol.Stage != "apply" {
+		t.Errorf("policy span = %+v, want an apply parented on bus publish %d", pol, pub.ID)
 	}
-	pub, ent := byComp[obs.CompBus], byComp[obs.CompEntity]
-	pol, flush, fm := byComp[obs.CompPolicy], byComp[obs.CompPCP], byComp[obs.CompProxy]
-	if ent.Parent != pub.ID {
-		t.Errorf("entity span parent = %d, want bus publish %d", ent.Parent, pub.ID)
+	if flush.Parent != pol.ID || flush.Stage != "flush_compile" {
+		t.Errorf("flush span = %+v, want flush_compile parented on policy apply %d", flush, pol.ID)
 	}
-	if pol.Parent != pub.ID {
-		t.Errorf("policy span parent = %d, want bus publish %d", pol.Parent, pub.ID)
-	}
-	if flush.Parent != pol.ID {
-		t.Errorf("flush span parent = %d, want policy revoke %d", flush.Parent, pol.ID)
-	}
-	if fm.Parent != flush.ID {
-		t.Errorf("flow-mod span parent = %d, want flush compile %d", fm.Parent, flush.ID)
-	}
-	if pol.Stage != "revoke" || pol.RuleID != uint64(id) {
-		t.Errorf("policy span = %+v, want revoke of rule %d", pol, id)
-	}
-	if flush.Stage != "flush_compile" || fm.Stage != "flow_mod_write" || fm.DPID != 1 {
-		t.Errorf("flush/fm spans = %+v / %+v", flush, fm)
+	if fm.Parent != flush.ID || fm.Stage != "flow_mod_write" || fm.DPID != 1 {
+		t.Errorf("flow-mod span = %+v, want flow_mod_write on dpid 1 parented on flush %d", fm, flush.ID)
 	}
 }
 
