@@ -54,7 +54,6 @@ type config struct {
 	proxyLat      store.LatencyModel
 	queueDepth    int
 	workers       int
-	rulePriority  uint16
 	allowIdleSec  uint16
 	denyIdleSec   uint16
 	externalBus   *bus.Bus
@@ -305,7 +304,6 @@ func New(opts ...Option) (*System, error) {
 		ProcessingLatency:   cfg.pcpLat,
 		QueueDepth:          cfg.queueDepth,
 		Workers:             cfg.workers,
-		RulePriority:        cfg.rulePriority,
 		WildcardCaching:     cfg.wildcardCache,
 		AllowIdleTimeoutSec: cfg.allowIdleSec,
 		DenyIdleTimeoutSec:  cfg.denyIdleSec,

@@ -49,7 +49,11 @@ type cacheEntry struct {
 	prev, next *cacheEntry
 }
 
-const cacheShards = 16
+// cacheShards is 1<<cacheShardBits: shardOf takes the hash's top bits.
+const (
+	cacheShardBits = 4
+	cacheShards    = 1 << cacheShardBits
+)
 
 // decisionCache is a sharded LRU of admission decisions. Sharding keeps
 // the hot path contention-free across the PCP's worker pool: each probe
@@ -80,7 +84,11 @@ func newDecisionCache(size int) *decisionCache {
 	return c
 }
 
-// shardOf hashes the key (FNV-1a over its fixed-width fields) to a shard.
+// shardOf hashes the key to a shard: FNV-1a over its fixed-width fields,
+// then a murmur3 finalizer, then the top bits. FNV's xor-then-multiply
+// carries bits only upward, so without the finalizer the low bits of h
+// would depend only on the low bits of each mixed word, and fields packed
+// into high bits (IPSrc, L4Src) would never choose the shard.
 func (c *decisionCache) shardOf(ck *cacheKey) *cacheShard {
 	const (
 		offset64 = 14695981039346656037
@@ -101,7 +109,12 @@ func (c *decisionCache) shardOf(ck *cacheKey) *cacheShard {
 	mix(uint64(k.EtherType))
 	mix(uint64(k.IPSrc.Uint32())<<32 | uint64(k.IPDst.Uint32()))
 	mix(uint64(k.IPProto)<<32 | uint64(k.L4Src)<<16 | uint64(k.L4Dst))
-	return &c.shards[h%cacheShards]
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return &c.shards[h>>(64-cacheShardBits)]
 }
 
 // lookup returns the cached decision for ck when its recorded epochs still

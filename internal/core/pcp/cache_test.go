@@ -1,6 +1,7 @@
 package pcp
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -247,5 +248,34 @@ func TestCacheLRUBounded(t *testing.T) {
 	}
 	if n := p.cache.len(); n > 16 {
 		t.Fatalf("cache grew to %d entries, cap 16", n)
+	}
+}
+
+// TestCacheShardSpread: one client opening many connections to one service
+// varies only IPSrc and L4Src. Those keys must spread over every shard,
+// none holding more than twice its fair share, or the LRU degenerates to
+// one 1/16-size shard for that client.
+func TestCacheShardSpread(t *testing.T) {
+	c := newDecisionCache(4096)
+	rng := rand.New(rand.NewSource(11))
+	counts := make(map[*cacheShard]int)
+	const keys = 4096
+	for i := 0; i < keys; i++ {
+		ck := cacheKey{dpid: 7, inPort: 3, key: netpkt.FlowKey{
+			EthSrc: macA, EthDst: macB, EtherType: netpkt.EtherTypeIPv4,
+			HasIP: true, HasL4: true, IPProto: netpkt.ProtoTCP,
+			IPSrc: netpkt.IPv4{10, 0, byte(rng.Intn(256)), byte(rng.Intn(256))}, IPDst: ipB,
+			L4Src: uint16(1024 + rng.Intn(64512)), L4Dst: 445,
+		}}
+		counts[c.shardOf(&ck)]++
+	}
+	if len(counts) != cacheShards {
+		t.Fatalf("keys reached %d of %d shards", len(counts), cacheShards)
+	}
+	limit := 2 * keys / cacheShards
+	for i := range c.shards {
+		if n := counts[&c.shards[i]]; n > limit {
+			t.Errorf("shard %d holds %d keys, above twice the mean (%d)", i, n, limit)
+		}
 	}
 }

@@ -59,6 +59,9 @@ var ErrNoFlowReader = errors.New("pcp: switch attachment does not support flow r
 // ErrUnknownSwitch reports an operation on an unattached datapath.
 var ErrUnknownSwitch = errors.New("pcp: unknown switch")
 
+// rulePriority is the priority of every table-0 rule the PCP installs.
+const rulePriority uint16 = 100
+
 // Decision is the outcome of processing one new flow.
 type Decision struct {
 	// Allow reports whether the flow may proceed (and the packet-in may be
@@ -97,8 +100,6 @@ type Config struct {
 	QueueDepth int
 	// Workers sets the worker pool size (default 8).
 	Workers int
-	// RulePriority is the priority of installed DFI rules (default 100).
-	RulePriority uint16
 	// WildcardCaching enables the CAB-ACME-style extension (paper §III-B):
 	// provably-safe widened flow rules instead of exact matches, reducing
 	// control-plane load (see wildcard.go for the safety argument).
@@ -190,8 +191,8 @@ type PCP struct {
 	metrics Metrics
 	cache   *decisionCache // nil when disabled
 
-	// compilePool recycles flow-mod compilation buffers so the cache-hit
-	// fast path allocates nothing (see compileBuf).
+	// compilePool recycles flow-mod compilation buffers, so admission
+	// compiles its table-0 rule without allocating (see compileBuf).
 	compilePool sync.Pool
 
 	queue chan *Request
@@ -215,9 +216,6 @@ func New(cfg Config) *PCP {
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 8
-	}
-	if cfg.RulePriority == 0 {
-		cfg.RulePriority = 100
 	}
 	if cfg.AllowIdleTimeoutSec == 0 {
 		cfg.AllowIdleTimeoutSec = 300
@@ -426,12 +424,13 @@ func (p *PCP) worker() {
 //
 // Process, install, compileBuf.fill and decisionCache.lookup are the
 // cache-hit admission path the zero-alloc gate measures; decide and
-// CompileFlowMod (the miss path) pay the enrichment/compile allocations
-// deliberately and are not annotated.
+// compileCachedMatch (the miss path) pay the enrichment and widening
+// allocations deliberately and are not annotated.
 //
 // A policy mutation may publish and flush between the decision and the
 // install; Process re-reads the policy epoch after installing and, if it
-// moved, hands the installed entry to recheck.
+// moved, hands the installed entry to recheck. The compilation buffer is
+// held until then, so recheck strict-deletes exactly the entry written.
 //
 //dfi:hotpath
 func (p *PCP) Process(req *Request) {
@@ -484,9 +483,11 @@ func (p *PCP) Process(req *Request) {
 	if traced {
 		tInstall = p.cfg.Clock.Now()
 	}
-	if installed, match := p.install(req, dec, fv, key); installed && p.cfg.Policy.Epoch() != policyEpoch {
-		p.recheck(req, key, dec, match)
+	cb := p.compilePool.Get().(*compileBuf)
+	if p.install(req, dec, fv, key, cb) && p.cfg.Policy.Epoch() != policyEpoch {
+		p.recheck(req, key, dec, cb)
 	}
+	p.compilePool.Put(cb)
 	end := p.cfg.Clock.Now()
 	p.metrics.Total.Add(end.Sub(start))
 	p.metrics.processed.Inc()
@@ -660,16 +661,15 @@ func (p *PCP) decide(req *Request, key netpkt.FlowKey, inPort uint32) (dec Decis
 	return dec, fv, pd.Epoch, entityEpoch, bindDur, polDur
 }
 
-// install compiles and installs the flow rule implementing dec for req's
-// packet, charging the PCP's remaining processing cost. fv is nil for
-// decisions served from the flow-decision cache; those install the exact
-// match (wildcard widening needs the enriched view and a policy walk —
-// exactly the work the cache exists to skip). It reports whether a rule
-// was written and, for fresh decisions, the match it was written with
-// (nil for the exact match of a cache hit, which lives in a pooled buffer).
+// install compiles the flow rule implementing dec for req's packet into cb
+// and writes it, charging the PCP's remaining processing cost. fv is nil
+// for decisions served from the flow-decision cache; those install the
+// exact match (wildcard widening needs the enriched view and a policy walk
+// — exactly the work the cache exists to skip). It reports whether a rule
+// was written; cb then holds it.
 //
 //dfi:hotpath
-func (p *PCP) install(req *Request, dec Decision, fv *policy.FlowView, key netpkt.FlowKey) (installed bool, match *openflow.Match) {
+func (p *PCP) install(req *Request, dec Decision, fv *policy.FlowView, key netpkt.FlowKey, cb *compileBuf) bool {
 	tOther := p.cfg.Clock.Now()
 	// Deferred closures are open-coded and stay on the stack (the
 	// TestAdmissionHotPathZeroAlloc gate proves 0 B/op through here).
@@ -682,29 +682,23 @@ func (p *PCP) install(req *Request, dec Decision, fv *policy.FlowView, key netpk
 		// Unevaluable packets are denied without installing a rule: the
 		// identifiers are untrustworthy, so a cached rule keyed on them
 		// would be wrong.
-		return false, nil
+		return false
 	}
 	client := p.client(req.DPID)
 	if client == nil {
-		return false, nil
+		return false
 	}
+	inPort := req.PacketIn.InPort()
+	var level widenDrop // exact
 	if fv != nil {
-		// Fresh decision: the enriched view enables wildcard widening, and
-		// this path already paid the binding and policy queries, so the
-		// compile allocations are noise.
-		fm := p.CompileFlowMod(key, req.PacketIn.InPort(), dec)
-		fm.Match = p.compileCachedMatch(key, req.PacketIn.InPort(), fv, dec)
-		_ = client.WriteFlowMod(fm)
-		return true, fm.Match
+		// Fresh decision: the enriched view enables wildcard widening.
+		level = p.compileCachedMatch(key, fv, dec)
 	}
-	// Cache-hit fast path: compile the exact match into a pooled buffer so
-	// the admission path allocates nothing. Safe because SwitchClient
-	// forbids retaining the flow mod past WriteFlowMod.
-	cb := p.compilePool.Get().(*compileBuf)
-	cb.fill(p, key, req.PacketIn.InPort(), dec)
+	// Safe to reuse cb afterwards because SwitchClient forbids retaining
+	// the flow mod past WriteFlowMod.
+	cb.fill(p, key, inPort, dec, level)
 	_ = client.WriteFlowMod(&cb.fm)
-	p.compilePool.Put(cb)
-	return true, nil
+	return true
 }
 
 // recheck keeps an admission that raced a policy mutation from leaving a
@@ -714,12 +708,11 @@ func (p *PCP) install(req *Request, dec Decision, fv *policy.FlowView, key netpk
 // again against the current snapshot until the epoch holds still, and only
 // if the answer differs — in action, or in deciding rule, since the entry's
 // cookie must name a rule whose later flush will reach it — strict-deletes
-// the entry install wrote (match is nil for the exact match), so the flow's
-// next packet re-enters admission. An epoch change alone is no reason to
-// retract: a mutation that left this flow's decision alone (the second
-// rule of a quarantine template, say) must not evict the first rule's
-// freshly installed deny.
-func (p *PCP) recheck(req *Request, key netpkt.FlowKey, dec Decision, match *openflow.Match) {
+// the entry install compiled into cb, so the flow's next packet re-enters
+// admission. An epoch change alone is no reason to retract: a mutation that
+// left this flow's decision alone (the second rule of a quarantine
+// template, say) must not evict the first rule's freshly installed deny.
+func (p *PCP) recheck(req *Request, key netpkt.FlowKey, dec Decision, cb *compileBuf) {
 	inPort := req.PacketIn.InPort()
 	var cur Decision
 	for {
@@ -736,32 +729,20 @@ func (p *PCP) recheck(req *Request, key netpkt.FlowKey, dec Decision, match *ope
 	if client == nil {
 		return
 	}
-	if match == nil {
-		match = openflow.ExactMatchFor(key, inPort)
-	}
-	_ = client.WriteFlowMod(&openflow.FlowMod{
-		Cookie:     uint64(dec.RuleID),
-		CookieMask: ^uint64(0),
-		TableID:    0,
-		Command:    openflow.FlowModDeleteStrict,
-		Priority:   p.cfg.RulePriority,
-		OutPort:    openflow.PortAny,
-		OutGroup:   0xffffffff,
-		Match:      match,
-	})
+	cb.strictDelete()
+	_ = client.WriteFlowMod(&cb.fm)
 }
 
 // gotoTable1 is the shared allow instruction: every admitted flow continues
-// to table 1, the controller's first table. Immutable — the proxy's
-// table-space rewrites copy goto-table instructions instead of mutating
-// them — so all pooled flow mods share this one slice.
+// to table 1, the controller's first table. Immutable — the proxy rewrites
+// goto-table targets only in relayed wire frames — so all pooled flow mods
+// share this one slice.
 var gotoTable1 = []openflow.Instruction{&openflow.InstructionGotoTable{TableID: 1}}
 
-// compileBuf is a reusable flow-mod compilation buffer for the cache-hit
-// fast path. Its Match's pointer fields point at the buffer's own value
-// fields, so filling and writing an exact-match rule performs no heap
-// allocation; openflow.ExactMatchFor builds the identical match with one
-// allocation per pinned field.
+// compileBuf is a reusable flow-mod compilation buffer: the PCP's one
+// table-0 rule compiler. Its Match's pointer fields point at the buffer's
+// own value fields, so filling and writing a rule performs no heap
+// allocation.
 type compileBuf struct {
 	fm    openflow.FlowMod
 	match openflow.Match
@@ -777,11 +758,17 @@ type compileBuf struct {
 	l4Dst   uint16
 }
 
-// fill compiles the exact-match table-0 rule implementing dec into the
-// buffer, mirroring CompileFlowMod (which see for the semantics).
+// fill compiles the table-0 rule implementing dec for a flow at the given
+// widening level. At the exact level (widenDrop{}) every identifier present
+// in the packet is pinned, as openflow.ExactMatchFor pins them, so each new
+// flow is checked against current policy (paper §III-B); a widening level
+// leaves out the IP addresses and/or L4 ports it drops. The cookie names
+// the deciding rule. Allowed flows continue to table 1 (the controller's
+// first table); denied flows match a rule with no instructions and are
+// dropped.
 //
 //dfi:hotpath
-func (cb *compileBuf) fill(p *PCP, key netpkt.FlowKey, inPort uint32, dec Decision) {
+func (cb *compileBuf) fill(p *PCP, key netpkt.FlowKey, inPort uint32, dec Decision, drop widenDrop) {
 	cb.inPort = inPort
 	cb.ethSrc = key.EthSrc
 	cb.ethDst = key.EthDst
@@ -796,12 +783,14 @@ func (cb *compileBuf) fill(p *PCP, key netpkt.FlowKey, inPort uint32, dec Decisi
 	}
 	if key.HasIP && key.EtherType == netpkt.EtherTypeIPv4 {
 		cb.ipProto = key.IPProto
-		cb.ipSrc = key.IPSrc
-		cb.ipDst = key.IPDst
 		cb.match.IPProto = &cb.ipProto
-		cb.match.IPv4Src = &cb.ipSrc
-		cb.match.IPv4Dst = &cb.ipDst
-		if key.HasL4 {
+		if !drop.ips {
+			cb.ipSrc = key.IPSrc
+			cb.ipDst = key.IPDst
+			cb.match.IPv4Src = &cb.ipSrc
+			cb.match.IPv4Dst = &cb.ipDst
+		}
+		if key.HasL4 && !drop.ports {
 			cb.l4Src = key.L4Src
 			cb.l4Dst = key.L4Dst
 			switch key.IPProto {
@@ -824,7 +813,7 @@ func (cb *compileBuf) fill(p *PCP, key netpkt.FlowKey, inPort uint32, dec Decisi
 		Cookie:      uint64(dec.RuleID),
 		TableID:     0,
 		Command:     openflow.FlowModAdd,
-		Priority:    p.cfg.RulePriority,
+		Priority:    rulePriority,
 		BufferID:    openflow.NoBuffer,
 		OutPort:     openflow.PortAny,
 		OutGroup:    0xffffffff,
@@ -837,28 +826,19 @@ func (cb *compileBuf) fill(p *PCP, key netpkt.FlowKey, inPort uint32, dec Decisi
 	}
 }
 
-// CompileFlowMod builds the exact-match table-0 rule implementing dec for
-// a flow: every identifier present in the packet is pinned so each new flow
-// is checked against current policy (paper §III-B). Allowed flows continue
-// to table 1 (the controller's first table); denied flows match a rule with
-// no instructions and are dropped.
-func (p *PCP) CompileFlowMod(key netpkt.FlowKey, inPort uint32, dec Decision) *openflow.FlowMod {
-	fm := &openflow.FlowMod{
-		Cookie:      uint64(dec.RuleID),
-		TableID:     0,
-		Command:     openflow.FlowModAdd,
-		Priority:    p.cfg.RulePriority,
-		BufferID:    openflow.NoBuffer,
-		OutPort:     openflow.PortAny,
-		OutGroup:    0xffffffff,
-		Match:       openflow.ExactMatchFor(key, inPort),
-		IdleTimeout: p.cfg.DenyIdleTimeoutSec,
+// strictDelete turns the compiled add into the strict delete of the entry
+// it installed: same cookie, priority and match.
+func (cb *compileBuf) strictDelete() {
+	cb.fm = openflow.FlowMod{
+		Cookie:     cb.fm.Cookie,
+		CookieMask: ^uint64(0),
+		TableID:    0,
+		Command:    openflow.FlowModDeleteStrict,
+		Priority:   rulePriority,
+		OutPort:    openflow.PortAny,
+		OutGroup:   0xffffffff,
+		Match:      &cb.match,
 	}
-	if dec.Allow {
-		fm.IdleTimeout = p.cfg.AllowIdleTimeoutSec
-		fm.Instructions = []openflow.Instruction{&openflow.InstructionGotoTable{TableID: 1}}
-	}
-	return fm
 }
 
 // FlushPolicies removes from every attached switch the table-0 rules

@@ -3,7 +3,6 @@ package pcp
 import (
 	"github.com/dfi-sdn/dfi/internal/core/policy"
 	"github.com/dfi-sdn/dfi/internal/netpkt"
-	"github.com/dfi-sdn/dfi/internal/openflow"
 )
 
 // Wildcard rule caching — the CAB-ACME-style extension the paper names as
@@ -39,7 +38,8 @@ import (
 // the ports. MACs, ingress port and EtherType/IP-protocol stay pinned
 // always, as does anything the winner constrains.
 
-// widenDrop describes which packet fields a widening level drops.
+// widenDrop describes which packet fields a widening level drops; the
+// zero value drops nothing (the exact match).
 type widenDrop struct {
 	ports bool
 	ips   bool
@@ -50,10 +50,11 @@ var widenLevels = []widenDrop{
 	{ports: true, ips: false},
 }
 
-// compileCachedMatch returns the widest safe match for the decided flow,
-// falling back to the exact match.
-func (p *PCP) compileCachedMatch(key netpkt.FlowKey, inPort uint32, fv *policy.FlowView, dec Decision) *openflow.Match {
-	exact := openflow.ExactMatchFor(key, inPort)
+// compileCachedMatch returns the widest safe widening level for the
+// decided flow, falling back to the exact level (widenDrop{}). compileBuf.fill
+// builds the match for the level.
+func (p *PCP) compileCachedMatch(key netpkt.FlowKey, fv *policy.FlowView, dec Decision) widenDrop {
+	var exact widenDrop
 	if !p.cfg.WildcardCaching {
 		return exact
 	}
@@ -88,7 +89,7 @@ func (p *PCP) compileCachedMatch(key netpkt.FlowKey, inPort uint32, fv *policy.F
 			continue
 		}
 		if safeToWiden(rules, winner, action, fv, drop) {
-			return widenedMatch(key, inPort, drop)
+			return drop
 		}
 	}
 	return exact
@@ -165,31 +166,4 @@ func endpointMayMatch(e *policy.EndpointSpec, a *policy.EndpointAttrs, drop wide
 		return false
 	}
 	return true
-}
-
-// widenedMatch builds the match for the widening level: exact minus the
-// dropped fields.
-func widenedMatch(key netpkt.FlowKey, inPort uint32, drop widenDrop) *openflow.Match {
-	m := &openflow.Match{
-		InPort:  openflow.U32(inPort),
-		EthSrc:  openflow.MACPtr(key.EthSrc),
-		EthDst:  openflow.MACPtr(key.EthDst),
-		EthType: openflow.U16(key.EtherType),
-		IPProto: openflow.U8(key.IPProto),
-	}
-	if !drop.ips {
-		m.IPv4Src = openflow.IPPtr(key.IPSrc)
-		m.IPv4Dst = openflow.IPPtr(key.IPDst)
-	}
-	if !drop.ports && key.HasL4 {
-		switch key.IPProto {
-		case netpkt.ProtoTCP:
-			m.TCPSrc = openflow.U16(key.L4Src)
-			m.TCPDst = openflow.U16(key.L4Dst)
-		case netpkt.ProtoUDP:
-			m.UDPSrc = openflow.U16(key.L4Src)
-			m.UDPDst = openflow.U16(key.L4Dst)
-		}
-	}
-	return m
 }

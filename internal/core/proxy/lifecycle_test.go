@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -15,6 +16,7 @@ import (
 	"github.com/dfi-sdn/dfi/internal/core/entity"
 	"github.com/dfi-sdn/dfi/internal/core/pcp"
 	"github.com/dfi-sdn/dfi/internal/core/policy"
+	"github.com/dfi-sdn/dfi/internal/openflow"
 	"github.com/dfi-sdn/dfi/internal/switchsim"
 )
 
@@ -52,6 +54,57 @@ func TestMalformedFrameFailsConnection(t *testing.T) {
 	}
 	if got := prx.relayErrSwitch.Value(); got != 1 {
 		t.Fatalf("dfi_proxy_relay_errors_total{side=switch} = %d, want 1", got)
+	}
+	if prx.conns.Value() != 0 {
+		t.Fatalf("dfi_proxy_connections = %d after teardown, want 0", prx.conns.Value())
+	}
+}
+
+// TestMalformedControllerFlowModFailsConnection: a controller flow-mod
+// whose body the in-place rewriter rejects (here, a match of type 0) is
+// not forwarded; it ends the session with a real error counted on the
+// controller side of dfi_proxy_relay_errors_total.
+func TestMalformedControllerFlowModFailsConnection(t *testing.T) {
+	p := pcp.New(pcp.Config{Entity: entity.NewManager(), Policy: policy.NewManager()})
+	ctlNear, ctlFar := bufpipe.New()
+	prx, err := New(Config{
+		PCP: p,
+		DialController: func() (io.ReadWriteCloser, error) {
+			return ctlNear, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	swNear, swFar := bufpipe.New()
+	defer swFar.Close()
+	done := make(chan error, 1)
+	if err := prx.HandleSwitch(swNear, func(err error) { done <- err }); err != nil {
+		t.Fatal(err)
+	}
+	const bodyLen = 48 // fixed flow-mod fields, then a zeroed (type 0) match
+	frame := make([]byte, 8+bodyLen)
+	frame[0] = openflow.Version
+	frame[1] = uint8(openflow.TypeFlowMod)
+	binary.BigEndian.PutUint16(frame[2:4], uint16(len(frame)))
+	binary.BigEndian.PutUint32(frame[4:8], 9)
+	if _, err := ctlFar.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if orderlyClose(err) {
+			t.Fatalf("malformed flow-mod reported as orderly close (%v)", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("session never failed on malformed controller flow-mod")
+	}
+	if got := prx.relayErrController.Value(); got != 1 {
+		t.Fatalf("dfi_proxy_relay_errors_total{side=controller} = %d, want 1", got)
+	}
+	if got := prx.relayErrSwitch.Value(); got != 0 {
+		t.Fatalf("dfi_proxy_relay_errors_total{side=switch} = %d, want 0", got)
 	}
 	if prx.conns.Value() != 0 {
 		t.Fatalf("dfi_proxy_connections = %d after teardown, want 0", prx.conns.Value())

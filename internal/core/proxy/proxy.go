@@ -375,20 +375,26 @@ func (s *session) relaySwitchToController() error {
 	}
 }
 
-// handleFrameFromSwitch applies the switch→controller rewrites on the raw
-// frame when possible, falling back to the decoded handler for message
-// types that need structural interpretation (features, multipart) or a
-// policy decision (table-0 packet-ins).
+// handleFrameFromSwitch applies the switch→controller rewrites. Table-1+
+// packet-ins and flow-removed are rewritten in place and forwarded; a frame
+// the in-place rewriter rejects is malformed and fails the connection.
+// Only the types that need structural interpretation (features, multipart)
+// or a policy decision (table-0 packet-ins) are decoded.
 //
 //dfi:hotpath
 func (s *session) handleFrameFromSwitch(f *openflow.Frame) error {
 	p := s.proxy
 	switch f.Type() {
 	case openflow.TypePacketIn:
-		if tid, ok := f.PacketInTableID(); ok && tid > 0 {
+		tid, ok := f.PacketInTableID()
+		if !ok {
+			return malformedErr(f.Type())
+		}
+		if tid > 0 {
 			// A miss in table 1+ was already admitted by DFI's table-0
-			// rules: shift the table id in place and forward the bytes
-			// without decoding.
+			// rules: it belongs to the controller's forwarding logic.
+			// Shift the table id in place and forward the bytes without
+			// re-evaluating policy.
 			p.packetIns.Inc()
 			f.ShiftPacketInTable(-1)
 			if err := s.ctl.QueueFrame(f); err != nil {
@@ -400,13 +406,15 @@ func (s *session) handleFrameFromSwitch(f *openflow.Frame) error {
 		// Table-0 packet-ins carry a new flow: decode and run admission.
 
 	case openflow.TypeFlowRemoved:
-		if tid, ok := f.FlowRemovedTableID(); ok {
-			if tid == 0 {
-				return nil // DFI's own rule: consumed, never shown
-			}
-			f.ShiftFlowRemovedTable(-1)
-			return s.ctl.QueueFrame(f)
+		tid, ok := f.FlowRemovedTableID()
+		if !ok {
+			return malformedErr(f.Type())
 		}
+		if tid == 0 {
+			return nil // DFI's own rule: consumed, never shown
+		}
+		f.ShiftFlowRemovedTable(-1)
+		return s.ctl.QueueFrame(f)
 
 	case openflow.TypeFeaturesReply, openflow.TypeMultipartReply:
 		// Table hiding, reply filtering and DFI-read routing need the
@@ -423,6 +431,14 @@ func (s *session) handleFrameFromSwitch(f *openflow.Frame) error {
 	return s.handleFromSwitch(xid, msg)
 }
 
+// malformedErr reports a frame the in-place rewriter rejected; kept off the
+// annotated relay path.
+func malformedErr(t openflow.MessageType) error {
+	return fmt.Errorf("proxy: malformed %v frame", t)
+}
+
+// handleFromSwitch handles the decoded switch→controller messages: the
+// features reply, table-0 packet-ins and multipart replies.
 func (s *session) handleFromSwitch(xid uint32, msg openflow.Message) error {
 	p := s.proxy
 	switch m := msg.(type) {
@@ -439,15 +455,6 @@ func (s *session) handleFromSwitch(xid uint32, msg openflow.Message) error {
 
 	case *openflow.PacketIn:
 		return s.handlePacketIn(xid, m)
-
-	case *openflow.FlowRemoved:
-		if m.TableID == 0 {
-			// DFI's own rules: consumed, never shown to the controller.
-			return nil
-		}
-		out := *m
-		out.TableID--
-		return s.ctl.SendXID(xid, &out)
 
 	case *openflow.MultipartReply:
 		if s.takePending(xid, m) {
@@ -483,27 +490,15 @@ func (s *session) handleFromSwitch(xid uint32, msg openflow.Message) error {
 		return s.ctl.SendXID(xid, out)
 
 	default:
-		return s.ctl.SendXID(xid, msg)
+		return fmt.Errorf("proxy: unexpected decoded %v from switch", msg.Type())
 	}
 }
 
+// handlePacketIn runs admission for a table-0 packet-in: the PCP decides,
+// and only an allowed packet-in is forwarded to the controller.
 func (s *session) handlePacketIn(xid uint32, pi *openflow.PacketIn) error {
 	p := s.proxy
 	p.packetIns.Inc()
-
-	// A miss in table 1 or higher can only be reached through DFI's
-	// table-0 rules (goto-table): the flow was already admitted. Those
-	// packet-ins belong to the controller's forwarding logic; relay them
-	// with the table id shifted, without re-evaluating policy.
-	if pi.TableID > 0 {
-		out := *pi
-		out.TableID--
-		if err := s.ctl.SendXID(xid, &out); err != nil {
-			return err
-		}
-		p.forwarded.Inc()
-		return nil
-	}
 
 	t0 := p.cfg.Clock.Now()
 	store.Charge(p.cfg.Clock, p.cfg.Latency)
@@ -527,11 +522,7 @@ func (s *session) handlePacketIn(xid uint32, pi *openflow.PacketIn) error {
 				p.denied.Inc()
 				return
 			}
-			out := *pi
-			if out.TableID > 0 {
-				out.TableID--
-			}
-			if err := s.ctl.SendXID(xid, &out); err == nil {
+			if err := s.ctl.SendXID(xid, pi); err == nil {
 				p.forwarded.Inc()
 			}
 		},
@@ -564,71 +555,51 @@ func (s *session) relayControllerToSwitch() error {
 }
 
 // handleFrameFromController applies the controller→switch table-space
-// rewrites in place on the raw frame when possible; flow-stats requests
-// (and frames the in-place rewriter rejects as malformed) take the decoded
-// path.
+// rewrites in place on the raw frame; a flow-mod or table-mod the in-place
+// rewriter rejects is malformed and fails the connection. Only multipart
+// requests are decoded.
 //
 //dfi:hotpath
 func (s *session) handleFrameFromController(f *openflow.Frame) error {
 	switch f.Type() {
 	case openflow.TypeFlowMod:
-		if f.ShiftFlowModTables(+1) {
-			return s.sw.QueueFrame(f)
+		if !f.ShiftFlowModTables(+1) {
+			return malformedErr(f.Type())
 		}
 	case openflow.TypeTableMod:
-		if f.ShiftTableModTable(+1) {
-			return s.sw.QueueFrame(f)
+		if !f.ShiftTableModTable(+1) {
+			return malformedErr(f.Type())
 		}
 	case openflow.TypeMultipartReq:
 		// Flow/aggregate stats requests rewrite an inner table id the
 		// frame walker does not model.
-	default:
-		return s.sw.QueueFrame(f)
+		xid, msg, err := f.Decode()
+		if err != nil {
+			return err
+		}
+		return s.handleMultipartRequest(xid, msg.(*openflow.MultipartRequest))
 	}
-	xid, msg, err := f.Decode()
-	if err != nil {
-		return err
-	}
-	return s.handleFromController(xid, msg)
+	return s.sw.QueueFrame(f)
 }
 
-func (s *session) handleFromController(xid uint32, msg openflow.Message) error {
-	switch m := msg.(type) {
-	case *openflow.FlowMod:
-		out := *m
-		if out.TableID != openflow.AllTables {
-			out.TableID++
-		}
-		out.Instructions = shiftInstructions(out.Instructions, +1)
-		return s.sw.SendXID(xid, &out)
-
-	case *openflow.MultipartRequest:
-		if (m.PartType != openflow.MultipartFlow && m.PartType != openflow.MultipartAggregate) || m.Flow == nil {
-			return s.sw.SendXID(xid, m)
-		}
-		out := *m
-		flow := *m.Flow
-		if flow.TableID != openflow.AllTables {
-			flow.TableID++
-		} else {
-			// ALL from the controller means "all controller tables":
-			// tables 1 and up. The switch cannot express that in one
-			// request, so ask for ALL and rely on the reply filter to
-			// hide table 0.
-		}
-		out.Flow = &flow
-		return s.sw.SendXID(xid, &out)
-
-	case *openflow.TableMod:
-		out := *m
-		if out.TableID != openflow.AllTables {
-			out.TableID++
-		}
-		return s.sw.SendXID(xid, &out)
-
-	default:
-		return s.sw.SendXID(xid, msg)
+// handleMultipartRequest shifts the table id of a controller flow or
+// aggregate stats request into the switch's table space.
+func (s *session) handleMultipartRequest(xid uint32, m *openflow.MultipartRequest) error {
+	if (m.PartType != openflow.MultipartFlow && m.PartType != openflow.MultipartAggregate) || m.Flow == nil {
+		return s.sw.SendXID(xid, m)
 	}
+	out := *m
+	flow := *m.Flow
+	if flow.TableID != openflow.AllTables {
+		flow.TableID++
+	} else {
+		// ALL from the controller means "all controller tables":
+		// tables 1 and up. The switch cannot express that in one
+		// request, so ask for ALL and rely on the reply filter to
+		// hide table 0.
+	}
+	out.Flow = &flow
+	return s.sw.SendXID(xid, &out)
 }
 
 // shiftInstructions returns a copy of instrs with goto-table targets

@@ -415,7 +415,7 @@ func TestAggregateRequestShifted(t *testing.T) {
 		PartType: openflow.MultipartAggregate,
 		Flow:     &openflow.FlowStatsRequest{TableID: 0, Match: &openflow.Match{}},
 	}
-	if err := sess.handleFromController(6, req); err != nil {
+	if err := sess.handleMultipartRequest(6, req); err != nil {
 		t.Fatal(err)
 	}
 	_, msg, err := swConn.Recv()
@@ -466,52 +466,74 @@ func newRewriteHarnessBoth(t *testing.T) (*session, *openflow.Conn, *openflow.Co
 	return sess, openflow.NewConn(ctlFar), openflow.NewConn(swFar)
 }
 
-func TestRewriteRulesUnit(t *testing.T) {
-	sess, ctlConn, swConn := newRewriteHarnessBoth(t)
-
-	// Features reply: controller sees one table fewer; DPID learned.
-	if err := sess.handleFromSwitch(1, &openflow.FeaturesReply{DatapathID: 0x33, NumTables: 4}); err != nil {
+// relayFrom encodes m as a frame, runs it through the given frame
+// handler and flushes the peer connection, as the relay loop does.
+func relayFrom(t *testing.T, handle func(*openflow.Frame) error, peer *openflow.Conn, xid uint32, m openflow.Message) {
+	t.Helper()
+	var f openflow.Frame
+	if err := f.AppendMessageTo(xid, m); err != nil {
 		t.Fatal(err)
 	}
+	if err := handle(&f); err != nil {
+		t.Fatal(err)
+	}
+	if err := peer.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRewriteRulesUnit drives every rewrite rule through the relay's frame
+// handlers, the path the relay loops run, and checks the fields that
+// reach the other side.
+func TestRewriteRulesUnit(t *testing.T) {
+	sess, ctlConn, swConn := newRewriteHarnessBoth(t)
+	fromSwitch := func(xid uint32, m openflow.Message) {
+		t.Helper()
+		relayFrom(t, sess.handleFrameFromSwitch, sess.ctl, xid, m)
+	}
+	fromController := func(xid uint32, m openflow.Message) {
+		t.Helper()
+		relayFrom(t, sess.handleFrameFromController, sess.sw, xid, m)
+	}
+
+	// Features reply: controller sees one table fewer; DPID learned.
+	fromSwitch(1, &openflow.FeaturesReply{DatapathID: 0x33, NumTables: 4})
 	if _, msg, err := ctlConn.Recv(); err != nil {
 		t.Fatal(err)
-	} else if fr := msg.(*openflow.FeaturesReply); fr.NumTables != 3 {
-		t.Fatalf("NumTables = %d, want 3", fr.NumTables)
+	} else if fr := msg.(*openflow.FeaturesReply); fr.NumTables != 3 || fr.DatapathID != 0x33 {
+		t.Fatalf("features reply = %+v, want 3 tables", fr)
 	}
 	if dpid, ok := sess.dpid.Load().(uint64); !ok || dpid != 0x33 {
 		t.Fatal("dpid not learned")
 	}
 
 	// Flow-removed from table 0 is consumed; table 2 is shifted to 1.
-	if err := sess.handleFromSwitch(2, &openflow.FlowRemoved{TableID: 0, Match: &openflow.Match{}}); err != nil {
+	fromSwitch(2, &openflow.FlowRemoved{Cookie: 5, TableID: 0, Match: &openflow.Match{}})
+	fromSwitch(3, &openflow.FlowRemoved{Cookie: 6, TableID: 2, Match: &openflow.Match{InPort: openflow.U32(4)}})
+	if xid, msg, err := ctlConn.Recv(); err != nil {
 		t.Fatal(err)
-	}
-	if err := sess.handleFromSwitch(3, &openflow.FlowRemoved{TableID: 2, Match: &openflow.Match{}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, msg, err := ctlConn.Recv(); err != nil {
-		t.Fatal(err)
-	} else if fr := msg.(*openflow.FlowRemoved); fr.TableID != 1 {
-		t.Fatalf("flow-removed table = %d, want 1 (and table-0 removal consumed)", fr.TableID)
+	} else if fr := msg.(*openflow.FlowRemoved); xid != 3 || fr.TableID != 1 || fr.Cookie != 6 ||
+		fr.Match.InPort == nil || *fr.Match.InPort != 4 {
+		t.Fatalf("flow-removed xid %d = %+v, want the table-2 one shifted to 1 (and the table-0 one consumed)", xid, fr)
 	}
 
-	// Controller flow-mod: table and goto-table references shift up.
+	// Controller flow-mod: table and goto-table references shift up;
+	// everything else arrives as sent.
 	fm := &openflow.FlowMod{
-		TableID: 0, Command: openflow.FlowModAdd, BufferID: openflow.NoBuffer,
-		Match: &openflow.Match{},
+		Cookie: 0xc0de, TableID: 0, Command: openflow.FlowModAdd, Priority: 300,
+		BufferID: openflow.NoBuffer,
+		Match:    &openflow.Match{EthType: openflow.U16(0x0800)},
 		Instructions: []openflow.Instruction{
 			&openflow.InstructionGotoTable{TableID: 1},
 		},
 	}
-	if err := sess.handleFromController(4, fm); err != nil {
-		t.Fatal(err)
-	}
-	if _, msg, err := swConn.Recv(); err != nil {
+	fromController(4, fm)
+	if xid, msg, err := swConn.Recv(); err != nil {
 		t.Fatal(err)
 	} else {
 		got := msg.(*openflow.FlowMod)
-		if got.TableID != 1 {
-			t.Fatalf("flow-mod table = %d, want 1", got.TableID)
+		if xid != 4 || got.TableID != 1 || got.Cookie != 0xc0de || got.Priority != 300 || !got.Match.Equal(fm.Match) {
+			t.Fatalf("flow-mod xid %d = %+v, want table 1 and the rest unchanged", xid, got)
 		}
 		gt := got.Instructions[0].(*openflow.InstructionGotoTable)
 		if gt.TableID != 2 {
@@ -520,17 +542,13 @@ func TestRewriteRulesUnit(t *testing.T) {
 	}
 
 	// Table-mod shifts; ALL stays ALL.
-	if err := sess.handleFromController(5, &openflow.TableMod{TableID: 1}); err != nil {
-		t.Fatal(err)
-	}
+	fromController(5, &openflow.TableMod{TableID: 1, Config: 3})
 	if _, msg, err := swConn.Recv(); err != nil {
 		t.Fatal(err)
-	} else if tm := msg.(*openflow.TableMod); tm.TableID != 2 {
-		t.Fatalf("table-mod = %d, want 2", tm.TableID)
+	} else if tm := msg.(*openflow.TableMod); tm.TableID != 2 || tm.Config != 3 {
+		t.Fatalf("table-mod = %+v, want table 2", tm)
 	}
-	if err := sess.handleFromController(6, &openflow.TableMod{TableID: openflow.AllTables}); err != nil {
-		t.Fatal(err)
-	}
+	fromController(6, &openflow.TableMod{TableID: openflow.AllTables})
 	if _, msg, err := swConn.Recv(); err != nil {
 		t.Fatal(err)
 	} else if tm := msg.(*openflow.TableMod); tm.TableID != openflow.AllTables {
@@ -538,36 +556,29 @@ func TestRewriteRulesUnit(t *testing.T) {
 	}
 
 	// Echo and other unmodeled messages pass through untouched, both ways.
-	if err := sess.handleFromSwitch(7, &openflow.EchoRequest{Data: []byte("x")}); err != nil {
-		t.Fatal(err)
-	}
+	fromSwitch(7, &openflow.EchoRequest{Data: []byte("x")})
 	if _, msg, err := ctlConn.Recv(); err != nil {
 		t.Fatal(err)
-	} else if _, ok := msg.(*openflow.EchoRequest); !ok {
-		t.Fatalf("echo became %T", msg)
+	} else if e, ok := msg.(*openflow.EchoRequest); !ok || string(e.Data) != "x" {
+		t.Fatalf("echo became %#v", msg)
 	}
-	if err := sess.handleFromController(8, &openflow.EchoReply{Data: []byte("y")}); err != nil {
-		t.Fatal(err)
-	}
+	fromController(8, &openflow.EchoReply{Data: []byte("y")})
 	if _, msg, err := swConn.Recv(); err != nil {
 		t.Fatal(err)
-	} else if _, ok := msg.(*openflow.EchoReply); !ok {
-		t.Fatalf("echo reply became %T", msg)
+	} else if e, ok := msg.(*openflow.EchoReply); !ok || string(e.Data) != "y" {
+		t.Fatalf("echo reply became %#v", msg)
 	}
 
 	// Flow-stats reply: table-0 rows hidden, others shifted, goto
 	// instructions shifted down.
-	rep := &openflow.MultipartReply{
+	fromSwitch(9, &openflow.MultipartReply{
 		PartType: openflow.MultipartFlow,
 		Flows: []*openflow.FlowStatsEntry{
 			{TableID: 0, Match: &openflow.Match{}},
 			{TableID: 1, Match: &openflow.Match{},
 				Instructions: []openflow.Instruction{&openflow.InstructionGotoTable{TableID: 2}}},
 		},
-	}
-	if err := sess.handleFromSwitch(9, rep); err != nil {
-		t.Fatal(err)
-	}
+	})
 	if _, msg, err := ctlConn.Recv(); err != nil {
 		t.Fatal(err)
 	} else {

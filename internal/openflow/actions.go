@@ -10,8 +10,9 @@ var errTooShort = errors.New("buffer too short")
 
 // Action is an OpenFlow action.
 type Action interface {
-	// Marshal serializes the action including its common header.
-	Marshal() []byte
+	// AppendTo append-encodes the action, including its common header,
+	// onto dst and returns the extended slice.
+	AppendTo(dst []byte) []byte
 }
 
 // Action type codes.
@@ -31,14 +32,15 @@ var _ Action = (*ActionOutput)(nil)
 // controller (OFPCML_NO_BUFFER).
 const ControllerMaxLen uint16 = 0xffff
 
-// Marshal implements Action.
-func (a *ActionOutput) Marshal() []byte {
-	b := make([]byte, 16)
-	binary.BigEndian.PutUint16(b[0:2], actionTypeOutput)
-	binary.BigEndian.PutUint16(b[2:4], 16)
-	binary.BigEndian.PutUint32(b[4:8], a.Port)
-	binary.BigEndian.PutUint16(b[8:10], a.MaxLen)
-	return b
+// AppendTo implements Action.
+func (a *ActionOutput) AppendTo(dst []byte) []byte {
+	n := len(dst)
+	dst = grow(dst, 16) // pad bytes zeroed by grow
+	binary.BigEndian.PutUint16(dst[n:n+2], actionTypeOutput)
+	binary.BigEndian.PutUint16(dst[n+2:n+4], 16)
+	binary.BigEndian.PutUint32(dst[n+4:n+8], a.Port)
+	binary.BigEndian.PutUint16(dst[n+8:n+10], a.MaxLen)
+	return dst
 }
 
 // ActionRaw preserves an unmodeled action byte-for-byte for passthrough.
@@ -48,46 +50,18 @@ type ActionRaw struct {
 
 var _ Action = (*ActionRaw)(nil)
 
-// Marshal implements Action.
-func (a *ActionRaw) Marshal() []byte { return a.Bytes }
-
-func marshalActions(actions []Action) []byte {
-	var b []byte
-	for _, a := range actions {
-		b = append(b, a.Marshal()...)
-	}
-	return b
-}
-
-// appendAction append-encodes one action onto dst. Known concrete types
-// encode in place without the Marshal allocation; unknown implementations
-// fall back to Marshal.
-func appendAction(dst []byte, a Action) []byte {
-	switch a := a.(type) {
-	case *ActionOutput:
-		n := len(dst)
-		dst = grow(dst, 16)
-		binary.BigEndian.PutUint16(dst[n:n+2], actionTypeOutput)
-		binary.BigEndian.PutUint16(dst[n+2:n+4], 16)
-		binary.BigEndian.PutUint32(dst[n+4:n+8], a.Port)
-		binary.BigEndian.PutUint16(dst[n+8:n+10], a.MaxLen)
-		return dst
-	case *ActionRaw:
-		return appendBytes(dst, a.Bytes)
-	default:
-		return append(dst, a.Marshal()...)
-	}
-}
+// AppendTo implements Action.
+func (a *ActionRaw) AppendTo(dst []byte) []byte { return appendBytes(dst, a.Bytes) }
 
 func appendActions(dst []byte, actions []Action) []byte {
 	for _, a := range actions {
-		dst = appendAction(dst, a)
+		dst = a.AppendTo(dst)
 	}
 	return dst
 }
 
-// unmarshalActions parses a list of actions occupying exactly b.
-func unmarshalActions(b []byte) ([]Action, error) {
+// decodeActions parses a list of actions occupying exactly b.
+func decodeActions(b []byte) ([]Action, error) {
 	var actions []Action
 	for len(b) > 0 {
 		if len(b) < 4 {
@@ -117,8 +91,9 @@ func unmarshalActions(b []byte) ([]Action, error) {
 
 // Instruction is an OpenFlow 1.3 flow instruction.
 type Instruction interface {
-	// Marshal serializes the instruction including its common header.
-	Marshal() []byte
+	// AppendTo append-encodes the instruction, including its common
+	// header, onto dst and returns the extended slice.
+	AppendTo(dst []byte) []byte
 }
 
 // Instruction type codes.
@@ -138,13 +113,14 @@ type InstructionGotoTable struct {
 
 var _ Instruction = (*InstructionGotoTable)(nil)
 
-// Marshal implements Instruction.
-func (i *InstructionGotoTable) Marshal() []byte {
-	b := make([]byte, 8)
-	binary.BigEndian.PutUint16(b[0:2], instrTypeGotoTable)
-	binary.BigEndian.PutUint16(b[2:4], 8)
-	b[4] = i.TableID
-	return b
+// AppendTo implements Instruction.
+func (i *InstructionGotoTable) AppendTo(dst []byte) []byte {
+	n := len(dst)
+	dst = grow(dst, 8)
+	binary.BigEndian.PutUint16(dst[n:n+2], instrTypeGotoTable)
+	binary.BigEndian.PutUint16(dst[n+2:n+4], 8)
+	dst[n+4] = i.TableID
+	return dst
 }
 
 // InstructionApplyActions applies actions immediately.
@@ -154,14 +130,9 @@ type InstructionApplyActions struct {
 
 var _ Instruction = (*InstructionApplyActions)(nil)
 
-// Marshal implements Instruction.
-func (i *InstructionApplyActions) Marshal() []byte {
-	acts := marshalActions(i.Actions)
-	b := make([]byte, 8+len(acts))
-	binary.BigEndian.PutUint16(b[0:2], instrTypeApplyActions)
-	binary.BigEndian.PutUint16(b[2:4], uint16(len(b)))
-	copy(b[8:], acts)
-	return b
+// AppendTo implements Instruction.
+func (i *InstructionApplyActions) AppendTo(dst []byte) []byte {
+	return appendActionInstr(dst, instrTypeApplyActions, i.Actions)
 }
 
 // InstructionWriteActions writes actions into the action set.
@@ -171,14 +142,9 @@ type InstructionWriteActions struct {
 
 var _ Instruction = (*InstructionWriteActions)(nil)
 
-// Marshal implements Instruction.
-func (i *InstructionWriteActions) Marshal() []byte {
-	acts := marshalActions(i.Actions)
-	b := make([]byte, 8+len(acts))
-	binary.BigEndian.PutUint16(b[0:2], instrTypeWriteActions)
-	binary.BigEndian.PutUint16(b[2:4], uint16(len(b)))
-	copy(b[8:], acts)
-	return b
+// AppendTo implements Instruction.
+func (i *InstructionWriteActions) AppendTo(dst []byte) []byte {
+	return appendActionInstr(dst, instrTypeWriteActions, i.Actions)
 }
 
 // InstructionClearActions clears the action set.
@@ -186,12 +152,13 @@ type InstructionClearActions struct{}
 
 var _ Instruction = (*InstructionClearActions)(nil)
 
-// Marshal implements Instruction.
-func (i *InstructionClearActions) Marshal() []byte {
-	b := make([]byte, 8)
-	binary.BigEndian.PutUint16(b[0:2], instrTypeClearActions)
-	binary.BigEndian.PutUint16(b[2:4], 8)
-	return b
+// AppendTo implements Instruction.
+func (i *InstructionClearActions) AppendTo(dst []byte) []byte {
+	n := len(dst)
+	dst = grow(dst, 8)
+	binary.BigEndian.PutUint16(dst[n:n+2], instrTypeClearActions)
+	binary.BigEndian.PutUint16(dst[n+2:n+4], 8)
+	return dst
 }
 
 // InstructionRaw preserves an unmodeled instruction for passthrough.
@@ -201,44 +168,8 @@ type InstructionRaw struct {
 
 var _ Instruction = (*InstructionRaw)(nil)
 
-// Marshal implements Instruction.
-func (i *InstructionRaw) Marshal() []byte { return i.Bytes }
-
-func marshalInstructions(instrs []Instruction) []byte {
-	var b []byte
-	for _, in := range instrs {
-		b = append(b, in.Marshal()...)
-	}
-	return b
-}
-
-// appendInstruction append-encodes one instruction onto dst; known concrete
-// types encode in place, unknown implementations fall back to Marshal.
-func appendInstruction(dst []byte, in Instruction) []byte {
-	switch in := in.(type) {
-	case *InstructionGotoTable:
-		n := len(dst)
-		dst = grow(dst, 8)
-		binary.BigEndian.PutUint16(dst[n:n+2], instrTypeGotoTable)
-		binary.BigEndian.PutUint16(dst[n+2:n+4], 8)
-		dst[n+4] = in.TableID
-		return dst
-	case *InstructionApplyActions:
-		return appendActionInstr(dst, instrTypeApplyActions, in.Actions)
-	case *InstructionWriteActions:
-		return appendActionInstr(dst, instrTypeWriteActions, in.Actions)
-	case *InstructionClearActions:
-		n := len(dst)
-		dst = grow(dst, 8)
-		binary.BigEndian.PutUint16(dst[n:n+2], instrTypeClearActions)
-		binary.BigEndian.PutUint16(dst[n+2:n+4], 8)
-		return dst
-	case *InstructionRaw:
-		return appendBytes(dst, in.Bytes)
-	default:
-		return append(dst, in.Marshal()...)
-	}
-}
+// AppendTo implements Instruction.
+func (i *InstructionRaw) AppendTo(dst []byte) []byte { return appendBytes(dst, i.Bytes) }
 
 // appendActionInstr encodes an action-list instruction (apply/write),
 // patching the instruction length after the actions are appended.
@@ -253,13 +184,13 @@ func appendActionInstr(dst []byte, itype uint16, actions []Action) []byte {
 
 func appendInstructions(dst []byte, instrs []Instruction) []byte {
 	for _, in := range instrs {
-		dst = appendInstruction(dst, in)
+		dst = in.AppendTo(dst)
 	}
 	return dst
 }
 
-// unmarshalInstructions parses a list of instructions occupying exactly b.
-func unmarshalInstructions(b []byte) ([]Instruction, error) {
+// decodeInstructions parses a list of instructions occupying exactly b.
+func decodeInstructions(b []byte) ([]Instruction, error) {
 	var instrs []Instruction
 	for len(b) > 0 {
 		if len(b) < 4 {
@@ -274,13 +205,13 @@ func unmarshalInstructions(b []byte) ([]Instruction, error) {
 		case instrTypeGotoTable:
 			instrs = append(instrs, &InstructionGotoTable{TableID: b[4]})
 		case instrTypeApplyActions:
-			acts, err := unmarshalActions(b[8:ilen])
+			acts, err := decodeActions(b[8:ilen])
 			if err != nil {
 				return nil, fmt.Errorf("apply-actions: %w", err)
 			}
 			instrs = append(instrs, &InstructionApplyActions{Actions: acts})
 		case instrTypeWriteActions:
-			acts, err := unmarshalActions(b[8:ilen])
+			acts, err := decodeActions(b[8:ilen])
 			if err != nil {
 				return nil, fmt.Errorf("write-actions: %w", err)
 			}

@@ -7,12 +7,13 @@ import (
 )
 
 // Frame is one OpenFlow message as raw wire bytes (header + body). The DFI
-// Proxy's relay operates on frames: the common table-space rewrites
-// (flow-mod, packet-in, flow-removed, table-mod table ids) are applied in
-// place and the bytes forwarded verbatim, so steady-state relaying performs
-// no decode, no re-encode and no allocation. Message types that need
-// structural interpretation (features reply, multipart filtering, table-0
-// packet-ins) fall back to Decode.
+// Proxy's relay operates on frames: the table-space rewrites (flow-mod,
+// packet-in, flow-removed, table-mod table ids) are applied in place and
+// the bytes forwarded verbatim, so steady-state relaying performs no
+// decode, no re-encode and no allocation. These in-place rewrites are the
+// only rewrites of those types; a frame they reject is malformed. Message
+// types that need structural interpretation (features reply, multipart
+// filtering, table-0 packet-ins) are decoded.
 //
 // A Frame's buffer is reused by the next ReadFrame into it; consumers that
 // retain message contents must Decode (every UnmarshalBody deep-copies).
@@ -118,8 +119,8 @@ func readBodyErr(err error) error {
 	return fmt.Errorf("openflow: read body: %w", err)
 }
 
-// shiftTableID applies delta to a table id with the same clamping the
-// decode-path rewrite uses: never below 0 (table 0 is DFI's).
+// shiftTableID applies delta to a table id, clamped never below 0 (table 0
+// is DFI's).
 func shiftTableID(t uint8, delta int) uint8 {
 	s := int(t) + delta
 	if s < 0 {
@@ -201,10 +202,9 @@ func (f *Frame) ShiftTableModTable(delta int) bool {
 
 // ShiftFlowModTables rewrites a flow-mod frame's table space in place:
 // the table id (unless OFPTT_ALL) and every goto-table instruction target
-// shift by delta, exactly mirroring the decode-path rewrite
-// (TableID±1 + shiftInstructions in the proxy). Returns false when the
-// frame is not a structurally valid flow-mod, in which case nothing was
-// modified and the caller should fall back to Decode.
+// shift by delta. Returns false when the frame is not a structurally valid
+// flow-mod, in which case nothing was modified; Decode rejects every such
+// frame too (FuzzFrameRewriteAgreesWithDecode).
 //
 //dfi:hotpath
 func (f *Frame) ShiftFlowModTables(delta int) bool {
@@ -227,7 +227,7 @@ func (f *Frame) ShiftFlowModTables(delta int) bool {
 		return false
 	}
 	// Validate the whole instruction list before mutating anything, so a
-	// malformed frame is left untouched for the decode fallback.
+	// malformed frame is left untouched.
 	for rest := b[ioff:]; len(rest) > 0; {
 		if len(rest) < 4 {
 			return false

@@ -40,57 +40,6 @@ func samplePacketIn() *PacketIn {
 	}
 }
 
-// TestAppendMessageMatchesEncode pins the append-style encoders to the
-// MarshalBody wire layout: AppendMessage must produce byte-identical output
-// and must preserve (only append to) the destination prefix, even when the
-// destination has stale capacity from a previous, larger message.
-func TestAppendMessageMatchesEncode(t *testing.T) {
-	msgs := []Message{
-		&Hello{},
-		sampleFlowMod(),
-		samplePacketIn(),
-		&PacketOut{
-			BufferID: NoBuffer,
-			InPort:   PortController,
-			Actions:  []Action{&ActionOutput{Port: 1, MaxLen: 128}},
-			Data:     []byte{1, 2, 3, 4},
-		},
-		&Raw{RawType: 0x63, Body: []byte{9, 8, 7}},
-		&FlowMod{Command: FlowModDelete, TableID: AllTables, OutPort: PortAny, OutGroup: 0xffffffff},
-	}
-	for _, m := range msgs {
-		t.Run(fmt.Sprintf("%v", m.Type()), func(t *testing.T) {
-			want, err := Encode(42, m)
-			if err != nil {
-				t.Fatalf("Encode: %v", err)
-			}
-			// Fresh destination with a prefix to preserve.
-			prefix := []byte("PRE")
-			got, err := AppendMessage(prefix, 42, m)
-			if err != nil {
-				t.Fatalf("AppendMessage: %v", err)
-			}
-			if !bytes.Equal(got[:3], prefix) {
-				t.Fatalf("prefix clobbered: % x", got[:3])
-			}
-			if !bytes.Equal(got[3:], want) {
-				t.Fatalf("append bytes = % x\nwant          % x", got[3:], want)
-			}
-			// Reused destination: fill capacity with junk first so any
-			// encoder relying on fresh-make zeroing (pads, reserved
-			// fields) would be caught.
-			dirty := bytes.Repeat([]byte{0xff}, len(want)+64)
-			got2, err := AppendMessage(dirty[:0], 42, m)
-			if err != nil {
-				t.Fatalf("AppendMessage(reused): %v", err)
-			}
-			if !bytes.Equal(got2, want) {
-				t.Fatalf("reused-buffer bytes = % x\nwant                % x", got2, want)
-			}
-		})
-	}
-}
-
 // TestAppendMessageErrorRestoresDst: a failed encode must return the
 // destination unchanged (truncated back to the original length).
 func TestAppendMessageErrorRestoresDst(t *testing.T) {
@@ -115,7 +64,7 @@ func frameFor(t *testing.T, xid uint32, m Message) *Frame {
 }
 
 // TestShiftFlowModTablesParity checks the in-place frame rewrite against
-// the decode-path semantics: table id and every goto-table target shift by
+// the decoded message: table id and every goto-table target shift by
 // delta, OFPTT_ALL stays, shifts clamp at table 0.
 func TestShiftFlowModTablesParity(t *testing.T) {
 	f := frameFor(t, 7, sampleFlowMod())
@@ -146,8 +95,7 @@ func TestShiftFlowModTablesParity(t *testing.T) {
 		t.Fatal("shift +1 then -1 does not round-trip the frame bytes")
 	}
 
-	// Clamp at 0: shifting table 0 down stays at 0 (parity with the
-	// decode-path rewrite).
+	// Clamp at 0: shifting table 0 down stays at 0.
 	zero := sampleFlowMod()
 	zero.TableID = 0
 	zero.Instructions = []Instruction{&InstructionGotoTable{TableID: 0}}

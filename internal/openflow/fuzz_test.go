@@ -2,6 +2,8 @@ package openflow
 
 import (
 	"bytes"
+	"encoding/binary"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -108,12 +110,12 @@ func FuzzReadMessage(f *testing.F) {
 
 // FuzzUnmarshalBody drives every concrete message type's body parser over
 // arbitrary bytes, bypassing the header so the fuzzer spends its budget on
-// the per-type decoders. Accepted bodies must re-marshal to a stable form.
+// the per-type decoders. Accepted bodies must re-encode to a stable form.
 func FuzzUnmarshalBody(f *testing.F) {
 	for _, m := range fuzzSeedMessages() {
-		body, err := m.MarshalBody()
+		body, err := m.AppendBody(nil)
 		if err != nil {
-			f.Fatalf("marshaling seed %T: %v", m, err)
+			f.Fatalf("encoding seed %T: %v", m, err)
 		}
 		f.Add(uint8(m.Type()), body)
 	}
@@ -122,20 +124,123 @@ func FuzzUnmarshalBody(f *testing.F) {
 		if err := m.UnmarshalBody(body); err != nil {
 			return
 		}
-		canon, err := m.MarshalBody()
+		canon, err := m.AppendBody(nil)
 		if err != nil {
-			t.Fatalf("accepted %v body does not marshal: %v\n%x", m.Type(), err, body)
+			t.Fatalf("accepted %v body does not encode: %v\n%x", m.Type(), err, body)
 		}
 		m2 := newMessage(m.Type())
 		if err := m2.UnmarshalBody(canon); err != nil {
 			t.Fatalf("canonical %v body does not parse: %v\n%x", m.Type(), err, canon)
 		}
-		canon2, err := m2.MarshalBody()
+		// Re-encode onto a dirty prefix: the encoder must only append, and
+		// must not lean on fresh-allocation zeroing for pads.
+		dirty := bytes.Repeat([]byte{0xff}, len(canon)+16)
+		canon2, err := m2.AppendBody(dirty[:3])
 		if err != nil {
-			t.Fatalf("re-parsed %v body does not marshal: %v", m.Type(), err)
+			t.Fatalf("re-parsed %v body does not encode: %v", m.Type(), err)
 		}
-		if !bytes.Equal(canon, canon2) {
-			t.Fatalf("%v body marshal is not a fixed point:\n first %x\nsecond %x", m.Type(), canon, canon2)
+		if !bytes.Equal(canon, canon2[3:]) {
+			t.Fatalf("%v body encoding is not a fixed point:\n first %x\nsecond %x", m.Type(), canon, canon2[3:])
+		}
+	})
+}
+
+// frameRewrites are the relay's in-place rewrites, one per relayed type,
+// each with the decoded-form effect it must have on an accepted frame.
+var frameRewrites = []struct {
+	typ     MessageType
+	rewrite func(*Frame) bool
+	shift   func(Message)
+}{
+	{TypeFlowMod, func(f *Frame) bool { return f.ShiftFlowModTables(+1) }, func(m Message) {
+		fm := m.(*FlowMod)
+		if fm.TableID != AllTables {
+			fm.TableID = shiftTableID(fm.TableID, +1)
+		}
+		for _, in := range fm.Instructions {
+			if gt, ok := in.(*InstructionGotoTable); ok {
+				gt.TableID = shiftTableID(gt.TableID, +1)
+			}
+		}
+	}},
+	{TypeTableMod, func(f *Frame) bool { return f.ShiftTableModTable(+1) }, func(m Message) {
+		if tm := m.(*TableMod); tm.TableID != AllTables {
+			tm.TableID = shiftTableID(tm.TableID, +1)
+		}
+	}},
+	{TypeFlowRemoved, func(f *Frame) bool { return f.ShiftFlowRemovedTable(-1) }, func(m Message) {
+		fr := m.(*FlowRemoved)
+		fr.TableID = shiftTableID(fr.TableID, -1)
+	}},
+	{TypePacketIn, func(f *Frame) bool { return f.ShiftPacketInTable(-1) }, func(m Message) {
+		pi := m.(*PacketIn)
+		pi.TableID = shiftTableID(pi.TableID, -1)
+	}},
+}
+
+// FuzzFrameRewriteAgreesWithDecode holds the relay's in-place rewrites to
+// the decoder. The relay fails the connection when a walker rejects a
+// frame, so a frame a walker rejects must be one Decode rejects too;
+// otherwise the relay would drop a message the decoder calls valid. A
+// rejected frame must be left unmodified, and an accepted frame that
+// decodes must decode, after the rewrite, to the same message with only
+// its table references shifted.
+func FuzzFrameRewriteAgreesWithDecode(f *testing.F) {
+	seed := func(m Message) {
+		body, err := m.AppendBody(nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i, rw := range frameRewrites {
+			if m.Type() == rw.typ {
+				f.Add(uint8(i), body)
+			}
+		}
+	}
+	for _, m := range fuzzSeedMessages() {
+		seed(m)
+	}
+	// The smallest valid body of each type.
+	for _, m := range []Message{&FlowMod{}, &TableMod{}, &FlowRemoved{TableID: 2}, &PacketIn{TableID: 1}} {
+		seed(m)
+	}
+	f.Add(uint8(0), make([]byte, 44)) // flow-mod, match type 0
+	f.Add(uint8(2), make([]byte, 12)) // flow-removed, short
+	f.Add(uint8(3), make([]byte, 8))  // packet-in, short
+	f.Fuzz(func(t *testing.T, sel uint8, body []byte) {
+		if headerLen+len(body) > MaxMessageLen {
+			return
+		}
+		rw := frameRewrites[int(sel)%len(frameRewrites)]
+		wire := make([]byte, headerLen, headerLen+len(body))
+		wire[0] = Version
+		wire[1] = uint8(rw.typ)
+		binary.BigEndian.PutUint16(wire[2:4], uint16(headerLen+len(body)))
+		binary.BigEndian.PutUint32(wire[4:8], 7)
+		wire = append(wire, body...)
+
+		var fr Frame
+		fr.SetBytes(wire)
+		_, before, decErr := fr.Decode()
+		if !rw.rewrite(&fr) {
+			if decErr == nil {
+				t.Fatalf("%v walker rejects a frame Decode accepts:\n%x", rw.typ, wire)
+			}
+			if !bytes.Equal(fr.Bytes(), wire) {
+				t.Fatalf("%v walker modified a frame it rejected", rw.typ)
+			}
+			return
+		}
+		if decErr != nil {
+			return // forwarded verbatim today: not the walker's to judge
+		}
+		_, after, err := fr.Decode()
+		if err != nil {
+			t.Fatalf("%v rewrite broke a decodable frame: %v\n%x", rw.typ, err, wire)
+		}
+		rw.shift(before)
+		if !reflect.DeepEqual(before, after) {
+			t.Fatalf("%v rewrite disagrees with the decoded shift:\n got %+v\nwant %+v", rw.typ, after, before)
 		}
 	})
 }

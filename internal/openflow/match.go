@@ -292,6 +292,14 @@ func oxmHeader(field uint8, length int) uint32 {
 // Match. Shared so hot-path encoders never construct one per message.
 var emptyMatch = &Match{}
 
+// matchOrEmpty returns m, or the shared all-wildcard match when m is nil.
+func matchOrEmpty(m *Match) *Match {
+	if m == nil {
+		return emptyMatch
+	}
+	return m
+}
+
 // OXM append helpers: each extends dst through grow and writes the TLV in
 // place, so the annotated callers stay allocation-free on reused buffers.
 
@@ -381,12 +389,6 @@ func (m *Match) AppendTo(dst []byte) []byte {
 	binary.BigEndian.PutUint16(dst[start+2:start+4], uint16(unpadded))
 	padded := (unpadded + 7) / 8 * 8
 	return grow(dst, padded-unpadded) // grow zeroes the pad bytes
-}
-
-// Marshal serializes the match as an ofp_match (type OFPMT_OXM) including
-// trailing padding to 8 bytes. Hot paths use AppendTo with a reused buffer.
-func (m *Match) Marshal() []byte {
-	return m.AppendTo(nil)
 }
 
 // unmarshalMatch parses an ofp_match at the start of b, returning the match

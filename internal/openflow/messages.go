@@ -16,8 +16,8 @@ var _ Message = (*Hello)(nil)
 // Type implements Message.
 func (*Hello) Type() MessageType { return TypeHello }
 
-// MarshalBody implements Message.
-func (h *Hello) MarshalBody() ([]byte, error) { return h.Elements, nil }
+// AppendBody implements Message.
+func (h *Hello) AppendBody(dst []byte) ([]byte, error) { return appendBytes(dst, h.Elements), nil }
 
 // UnmarshalBody implements Message.
 func (h *Hello) UnmarshalBody(b []byte) error {
@@ -35,8 +35,8 @@ var _ Message = (*EchoRequest)(nil)
 // Type implements Message.
 func (*EchoRequest) Type() MessageType { return TypeEchoRequest }
 
-// MarshalBody implements Message.
-func (e *EchoRequest) MarshalBody() ([]byte, error) { return e.Data, nil }
+// AppendBody implements Message.
+func (e *EchoRequest) AppendBody(dst []byte) ([]byte, error) { return appendBytes(dst, e.Data), nil }
 
 // UnmarshalBody implements Message.
 func (e *EchoRequest) UnmarshalBody(b []byte) error {
@@ -54,8 +54,8 @@ var _ Message = (*EchoReply)(nil)
 // Type implements Message.
 func (*EchoReply) Type() MessageType { return TypeEchoReply }
 
-// MarshalBody implements Message.
-func (e *EchoReply) MarshalBody() ([]byte, error) { return e.Data, nil }
+// AppendBody implements Message.
+func (e *EchoReply) AppendBody(dst []byte) ([]byte, error) { return appendBytes(dst, e.Data), nil }
 
 // UnmarshalBody implements Message.
 func (e *EchoReply) UnmarshalBody(b []byte) error {
@@ -75,13 +75,13 @@ var _ Message = (*Error)(nil)
 // Type implements Message.
 func (*Error) Type() MessageType { return TypeError }
 
-// MarshalBody implements Message.
-func (e *Error) MarshalBody() ([]byte, error) {
-	b := make([]byte, 4+len(e.Data))
-	binary.BigEndian.PutUint16(b[0:2], e.ErrType)
-	binary.BigEndian.PutUint16(b[2:4], e.Code)
-	copy(b[4:], e.Data)
-	return b, nil
+// AppendBody implements Message.
+func (e *Error) AppendBody(dst []byte) ([]byte, error) {
+	n := len(dst)
+	dst = grow(dst, 4)
+	binary.BigEndian.PutUint16(dst[n:n+2], e.ErrType)
+	binary.BigEndian.PutUint16(dst[n+2:n+4], e.Code)
+	return appendBytes(dst, e.Data), nil
 }
 
 // UnmarshalBody implements Message.
@@ -103,8 +103,8 @@ var _ Message = (*FeaturesRequest)(nil)
 // Type implements Message.
 func (*FeaturesRequest) Type() MessageType { return TypeFeaturesRequest }
 
-// MarshalBody implements Message.
-func (*FeaturesRequest) MarshalBody() ([]byte, error) { return nil, nil }
+// AppendBody implements Message.
+func (*FeaturesRequest) AppendBody(dst []byte) ([]byte, error) { return dst, nil }
 
 // UnmarshalBody implements Message.
 func (*FeaturesRequest) UnmarshalBody([]byte) error { return nil }
@@ -124,15 +124,16 @@ var _ Message = (*FeaturesReply)(nil)
 // Type implements Message.
 func (*FeaturesReply) Type() MessageType { return TypeFeaturesReply }
 
-// MarshalBody implements Message.
-func (f *FeaturesReply) MarshalBody() ([]byte, error) {
-	b := make([]byte, 24)
-	binary.BigEndian.PutUint64(b[0:8], f.DatapathID)
-	binary.BigEndian.PutUint32(b[8:12], f.NumBuffers)
-	b[12] = f.NumTables
-	b[13] = f.AuxiliaryID
-	binary.BigEndian.PutUint32(b[16:20], f.Capabilities)
-	return b, nil
+// AppendBody implements Message.
+func (f *FeaturesReply) AppendBody(dst []byte) ([]byte, error) {
+	n := len(dst)
+	dst = grow(dst, 24) // reserved bytes zeroed by grow
+	binary.BigEndian.PutUint64(dst[n:n+8], f.DatapathID)
+	binary.BigEndian.PutUint32(dst[n+8:n+12], f.NumBuffers)
+	dst[n+12] = f.NumTables
+	dst[n+13] = f.AuxiliaryID
+	binary.BigEndian.PutUint32(dst[n+16:n+20], f.Capabilities)
+	return dst, nil
 }
 
 // UnmarshalBody implements Message.
@@ -156,8 +157,8 @@ var _ Message = (*GetConfigRequest)(nil)
 // Type implements Message.
 func (*GetConfigRequest) Type() MessageType { return TypeGetConfigReq }
 
-// MarshalBody implements Message.
-func (*GetConfigRequest) MarshalBody() ([]byte, error) { return nil, nil }
+// AppendBody implements Message.
+func (*GetConfigRequest) AppendBody(dst []byte) ([]byte, error) { return dst, nil }
 
 // UnmarshalBody implements Message.
 func (*GetConfigRequest) UnmarshalBody([]byte) error { return nil }
@@ -173,12 +174,9 @@ var _ Message = (*GetConfigReply)(nil)
 // Type implements Message.
 func (*GetConfigReply) Type() MessageType { return TypeGetConfigReply }
 
-// MarshalBody implements Message.
-func (c *GetConfigReply) MarshalBody() ([]byte, error) {
-	b := make([]byte, 4)
-	binary.BigEndian.PutUint16(b[0:2], c.Flags)
-	binary.BigEndian.PutUint16(b[2:4], c.MissSendLen)
-	return b, nil
+// AppendBody implements Message.
+func (c *GetConfigReply) AppendBody(dst []byte) ([]byte, error) {
+	return appendSwitchConfig(dst, c.Flags, c.MissSendLen), nil
 }
 
 // UnmarshalBody implements Message.
@@ -202,12 +200,19 @@ var _ Message = (*SetConfig)(nil)
 // Type implements Message.
 func (*SetConfig) Type() MessageType { return TypeSetConfig }
 
-// MarshalBody implements Message.
-func (c *SetConfig) MarshalBody() ([]byte, error) {
-	b := make([]byte, 4)
-	binary.BigEndian.PutUint16(b[0:2], c.Flags)
-	binary.BigEndian.PutUint16(b[2:4], c.MissSendLen)
-	return b, nil
+// AppendBody implements Message.
+func (c *SetConfig) AppendBody(dst []byte) ([]byte, error) {
+	return appendSwitchConfig(dst, c.Flags, c.MissSendLen), nil
+}
+
+// appendSwitchConfig encodes the ofp_switch_config body shared by
+// GetConfigReply and SetConfig.
+func appendSwitchConfig(dst []byte, flags, missSendLen uint16) []byte {
+	n := len(dst)
+	dst = grow(dst, 4)
+	binary.BigEndian.PutUint16(dst[n:n+2], flags)
+	binary.BigEndian.PutUint16(dst[n+2:n+4], missSendLen)
+	return dst
 }
 
 // UnmarshalBody implements Message.
@@ -243,30 +248,8 @@ var _ Message = (*PacketIn)(nil)
 // Type implements Message.
 func (*PacketIn) Type() MessageType { return TypePacketIn }
 
-// MarshalBody implements Message.
-func (p *PacketIn) MarshalBody() ([]byte, error) {
-	match := p.Match
-	if match == nil {
-		match = &Match{}
-	}
-	mb := match.Marshal()
-	b := make([]byte, 16+len(mb)+2+len(p.Data))
-	binary.BigEndian.PutUint32(b[0:4], p.BufferID)
-	totalLen := p.TotalLen
-	if totalLen == 0 {
-		totalLen = uint16(len(p.Data))
-	}
-	binary.BigEndian.PutUint16(b[4:6], totalLen)
-	b[6] = p.Reason
-	b[7] = p.TableID
-	binary.BigEndian.PutUint64(b[8:16], p.Cookie)
-	copy(b[16:], mb)
-	copy(b[16+len(mb)+2:], p.Data)
-	return b, nil
-}
-
-// AppendBody implements BodyAppender: the packet-in body append-encodes
-// into dst without intermediate allocation, for the proxy relay path.
+// AppendBody implements Message: the packet-in body append-encodes into
+// dst without intermediate allocation, for the proxy relay path.
 //
 //dfi:hotpath
 func (p *PacketIn) AppendBody(dst []byte) ([]byte, error) {
@@ -281,11 +264,7 @@ func (p *PacketIn) AppendBody(dst []byte) ([]byte, error) {
 	dst[n+6] = p.Reason
 	dst[n+7] = p.TableID
 	binary.BigEndian.PutUint64(dst[n+8:n+16], p.Cookie)
-	match := p.Match
-	if match == nil {
-		match = emptyMatch
-	}
-	dst = match.AppendTo(dst)
+	dst = matchOrEmpty(p.Match).AppendTo(dst)
 	dst = grow(dst, 2) // 2-byte pad before payload
 	return appendBytes(dst, p.Data), nil
 }
@@ -335,20 +314,8 @@ var _ Message = (*PacketOut)(nil)
 // Type implements Message.
 func (*PacketOut) Type() MessageType { return TypePacketOut }
 
-// MarshalBody implements Message.
-func (p *PacketOut) MarshalBody() ([]byte, error) {
-	acts := marshalActions(p.Actions)
-	b := make([]byte, 16+len(acts)+len(p.Data))
-	binary.BigEndian.PutUint32(b[0:4], p.BufferID)
-	binary.BigEndian.PutUint32(b[4:8], p.InPort)
-	binary.BigEndian.PutUint16(b[8:10], uint16(len(acts)))
-	copy(b[16:], acts)
-	copy(b[16+len(acts):], p.Data)
-	return b, nil
-}
-
-// AppendBody implements BodyAppender: the packet-out body append-encodes
-// into dst without intermediate allocation, for the PCP release path.
+// AppendBody implements Message: the packet-out body append-encodes into
+// dst without intermediate allocation, for the PCP release path.
 //
 //dfi:hotpath
 func (p *PacketOut) AppendBody(dst []byte) ([]byte, error) {
@@ -372,7 +339,7 @@ func (p *PacketOut) UnmarshalBody(b []byte) error {
 	if 16+actsLen > len(b) {
 		return fmt.Errorf("packet-out actions: %w", errTooShort)
 	}
-	acts, err := unmarshalActions(b[16 : 16+actsLen])
+	acts, err := decodeActions(b[16 : 16+actsLen])
 	if err != nil {
 		return fmt.Errorf("packet-out: %w", err)
 	}
@@ -418,34 +385,9 @@ var _ Message = (*FlowMod)(nil)
 // Type implements Message.
 func (*FlowMod) Type() MessageType { return TypeFlowMod }
 
-// MarshalBody implements Message.
-func (f *FlowMod) MarshalBody() ([]byte, error) {
-	match := f.Match
-	if match == nil {
-		match = &Match{}
-	}
-	mb := match.Marshal()
-	ib := marshalInstructions(f.Instructions)
-	b := make([]byte, 40+len(mb)+len(ib))
-	binary.BigEndian.PutUint64(b[0:8], f.Cookie)
-	binary.BigEndian.PutUint64(b[8:16], f.CookieMask)
-	b[16] = f.TableID
-	b[17] = f.Command
-	binary.BigEndian.PutUint16(b[18:20], f.IdleTimeout)
-	binary.BigEndian.PutUint16(b[20:22], f.HardTimeout)
-	binary.BigEndian.PutUint16(b[22:24], f.Priority)
-	binary.BigEndian.PutUint32(b[24:28], f.BufferID)
-	binary.BigEndian.PutUint32(b[28:32], f.OutPort)
-	binary.BigEndian.PutUint32(b[32:36], f.OutGroup)
-	binary.BigEndian.PutUint16(b[36:38], f.Flags)
-	copy(b[40:], mb)
-	copy(b[40+len(mb):], ib)
-	return b, nil
-}
-
-// AppendBody implements BodyAppender: the flow-mod body append-encodes
-// into dst without intermediate allocation. This is the PCP install and
-// flush fan-out encode path.
+// AppendBody implements Message: the flow-mod body append-encodes into
+// dst without intermediate allocation. This is the PCP install and flush
+// fan-out encode path.
 //
 //dfi:hotpath
 func (f *FlowMod) AppendBody(dst []byte) ([]byte, error) {
@@ -462,11 +404,7 @@ func (f *FlowMod) AppendBody(dst []byte) ([]byte, error) {
 	binary.BigEndian.PutUint32(dst[n+28:n+32], f.OutPort)
 	binary.BigEndian.PutUint32(dst[n+32:n+36], f.OutGroup)
 	binary.BigEndian.PutUint16(dst[n+36:n+38], f.Flags)
-	match := f.Match
-	if match == nil {
-		match = emptyMatch
-	}
-	dst = match.AppendTo(dst)
+	dst = matchOrEmpty(f.Match).AppendTo(dst)
 	return appendInstructions(dst, f.Instructions), nil
 }
 
@@ -491,7 +429,7 @@ func (f *FlowMod) UnmarshalBody(b []byte) error {
 		return fmt.Errorf("flow-mod: %w", err)
 	}
 	f.Match = m
-	instrs, err := unmarshalInstructions(b[40+n:])
+	instrs, err := decodeInstructions(b[40+n:])
 	if err != nil {
 		return fmt.Errorf("flow-mod: %w", err)
 	}
@@ -527,26 +465,21 @@ var _ Message = (*FlowRemoved)(nil)
 // Type implements Message.
 func (*FlowRemoved) Type() MessageType { return TypeFlowRemoved }
 
-// MarshalBody implements Message.
-func (f *FlowRemoved) MarshalBody() ([]byte, error) {
-	match := f.Match
-	if match == nil {
-		match = &Match{}
-	}
-	mb := match.Marshal()
-	b := make([]byte, 40+len(mb))
-	binary.BigEndian.PutUint64(b[0:8], f.Cookie)
-	binary.BigEndian.PutUint16(b[8:10], f.Priority)
-	b[10] = f.Reason
-	b[11] = f.TableID
-	binary.BigEndian.PutUint32(b[12:16], f.DurationSec)
-	binary.BigEndian.PutUint32(b[16:20], f.DurationNsec)
-	binary.BigEndian.PutUint16(b[20:22], f.IdleTimeout)
-	binary.BigEndian.PutUint16(b[22:24], f.HardTimeout)
-	binary.BigEndian.PutUint64(b[24:32], f.PacketCount)
-	binary.BigEndian.PutUint64(b[32:40], f.ByteCount)
-	copy(b[40:], mb)
-	return b, nil
+// AppendBody implements Message.
+func (f *FlowRemoved) AppendBody(dst []byte) ([]byte, error) {
+	n := len(dst)
+	dst = grow(dst, 40)
+	binary.BigEndian.PutUint64(dst[n:n+8], f.Cookie)
+	binary.BigEndian.PutUint16(dst[n+8:n+10], f.Priority)
+	dst[n+10] = f.Reason
+	dst[n+11] = f.TableID
+	binary.BigEndian.PutUint32(dst[n+12:n+16], f.DurationSec)
+	binary.BigEndian.PutUint32(dst[n+16:n+20], f.DurationNsec)
+	binary.BigEndian.PutUint16(dst[n+20:n+22], f.IdleTimeout)
+	binary.BigEndian.PutUint16(dst[n+22:n+24], f.HardTimeout)
+	binary.BigEndian.PutUint64(dst[n+24:n+32], f.PacketCount)
+	binary.BigEndian.PutUint64(dst[n+32:n+40], f.ByteCount)
+	return matchOrEmpty(f.Match).AppendTo(dst), nil
 }
 
 // UnmarshalBody implements Message.
@@ -580,8 +513,8 @@ var _ Message = (*BarrierRequest)(nil)
 // Type implements Message.
 func (*BarrierRequest) Type() MessageType { return TypeBarrierRequest }
 
-// MarshalBody implements Message.
-func (*BarrierRequest) MarshalBody() ([]byte, error) { return nil, nil }
+// AppendBody implements Message.
+func (*BarrierRequest) AppendBody(dst []byte) ([]byte, error) { return dst, nil }
 
 // UnmarshalBody implements Message.
 func (*BarrierRequest) UnmarshalBody([]byte) error { return nil }
@@ -594,8 +527,8 @@ var _ Message = (*BarrierReply)(nil)
 // Type implements Message.
 func (*BarrierReply) Type() MessageType { return TypeBarrierReply }
 
-// MarshalBody implements Message.
-func (*BarrierReply) MarshalBody() ([]byte, error) { return nil, nil }
+// AppendBody implements Message.
+func (*BarrierReply) AppendBody(dst []byte) ([]byte, error) { return dst, nil }
 
 // UnmarshalBody implements Message.
 func (*BarrierReply) UnmarshalBody([]byte) error { return nil }

@@ -46,31 +46,30 @@ const AllTables uint8 = 0xff
 // Type implements Message.
 func (*MultipartRequest) Type() MessageType { return TypeMultipartReq }
 
-// MarshalBody implements Message.
-func (m *MultipartRequest) MarshalBody() ([]byte, error) {
-	var body []byte
-	switch {
-	case (m.PartType == MultipartFlow || m.PartType == MultipartAggregate) && m.Flow != nil:
-		match := m.Flow.Match
-		if match == nil {
-			match = &Match{}
-		}
-		mb := match.Marshal()
-		body = make([]byte, 32+len(mb))
-		body[0] = m.Flow.TableID
-		binary.BigEndian.PutUint32(body[4:8], m.Flow.OutPort)
-		binary.BigEndian.PutUint32(body[8:12], m.Flow.OutGroup)
-		binary.BigEndian.PutUint64(body[16:24], m.Flow.Cookie)
-		binary.BigEndian.PutUint64(body[24:32], m.Flow.CookieMask)
-		copy(body[32:], mb)
-	default:
-		body = m.RawBody
+// AppendBody implements Message.
+func (m *MultipartRequest) AppendBody(dst []byte) ([]byte, error) {
+	dst = appendMultipartHeader(dst, m.PartType, m.Flags)
+	if (m.PartType != MultipartFlow && m.PartType != MultipartAggregate) || m.Flow == nil {
+		return appendBytes(dst, m.RawBody), nil
 	}
-	b := make([]byte, 8+len(body))
-	binary.BigEndian.PutUint16(b[0:2], m.PartType)
-	binary.BigEndian.PutUint16(b[2:4], m.Flags)
-	copy(b[8:], body)
-	return b, nil
+	n := len(dst)
+	dst = grow(dst, 32) // pad bytes zeroed by grow
+	dst[n] = m.Flow.TableID
+	binary.BigEndian.PutUint32(dst[n+4:n+8], m.Flow.OutPort)
+	binary.BigEndian.PutUint32(dst[n+8:n+12], m.Flow.OutGroup)
+	binary.BigEndian.PutUint64(dst[n+16:n+24], m.Flow.Cookie)
+	binary.BigEndian.PutUint64(dst[n+24:n+32], m.Flow.CookieMask)
+	return matchOrEmpty(m.Flow.Match).AppendTo(dst), nil
+}
+
+// appendMultipartHeader encodes the type/flags/pad prefix that multipart
+// requests and replies share.
+func appendMultipartHeader(dst []byte, partType, flags uint16) []byte {
+	n := len(dst)
+	dst = grow(dst, 8)
+	binary.BigEndian.PutUint16(dst[n:n+2], partType)
+	binary.BigEndian.PutUint16(dst[n+2:n+4], flags)
+	return dst
 }
 
 // UnmarshalBody implements Message.
@@ -141,48 +140,45 @@ func (*MultipartReply) Type() MessageType { return TypeMultipartReply }
 
 const flowStatsFixedLen = 48
 
-// MarshalBody implements Message.
-func (m *MultipartReply) MarshalBody() ([]byte, error) {
-	var body []byte
+// AppendBody implements Message.
+func (m *MultipartReply) AppendBody(dst []byte) ([]byte, error) {
+	dst = appendMultipartHeader(dst, m.PartType, m.Flags)
 	switch {
 	case m.PartType == MultipartFlow:
 		for _, fs := range m.Flows {
-			match := fs.Match
-			if match == nil {
-				match = &Match{}
-			}
-			mb := match.Marshal()
-			ib := marshalInstructions(fs.Instructions)
-			entry := make([]byte, flowStatsFixedLen+len(mb)+len(ib))
-			binary.BigEndian.PutUint16(entry[0:2], uint16(len(entry)))
-			entry[2] = fs.TableID
-			binary.BigEndian.PutUint32(entry[4:8], fs.DurationSec)
-			binary.BigEndian.PutUint32(entry[8:12], fs.DurationNsec)
-			binary.BigEndian.PutUint16(entry[12:14], fs.Priority)
-			binary.BigEndian.PutUint16(entry[14:16], fs.IdleTimeout)
-			binary.BigEndian.PutUint16(entry[16:18], fs.HardTimeout)
-			binary.BigEndian.PutUint16(entry[18:20], fs.Flags)
-			binary.BigEndian.PutUint64(entry[24:32], fs.Cookie)
-			binary.BigEndian.PutUint64(entry[32:40], fs.PacketCount)
-			binary.BigEndian.PutUint64(entry[40:48], fs.ByteCount)
-			copy(entry[flowStatsFixedLen:], mb)
-			copy(entry[flowStatsFixedLen+len(mb):], ib)
-			body = append(body, entry...)
+			dst = fs.appendTo(dst)
 		}
 	case m.PartType == MultipartTable:
 		for _, ts := range m.Tables {
-			body = append(body, ts.marshal()...)
+			dst = ts.appendTo(dst)
 		}
 	case m.PartType == MultipartAggregate && m.Aggregate != nil:
-		body = m.Aggregate.marshal()
+		dst = m.Aggregate.appendTo(dst)
 	default:
-		body = m.RawBody
+		dst = appendBytes(dst, m.RawBody)
 	}
-	b := make([]byte, 8+len(body))
-	binary.BigEndian.PutUint16(b[0:2], m.PartType)
-	binary.BigEndian.PutUint16(b[2:4], m.Flags)
-	copy(b[8:], body)
-	return b, nil
+	return dst, nil
+}
+
+// appendTo encodes one ofp_flow_stats record, patching its length after
+// the match and instructions are appended.
+func (fs *FlowStatsEntry) appendTo(dst []byte) []byte {
+	n := len(dst)
+	dst = grow(dst, flowStatsFixedLen) // pad bytes zeroed by grow
+	dst[n+2] = fs.TableID
+	binary.BigEndian.PutUint32(dst[n+4:n+8], fs.DurationSec)
+	binary.BigEndian.PutUint32(dst[n+8:n+12], fs.DurationNsec)
+	binary.BigEndian.PutUint16(dst[n+12:n+14], fs.Priority)
+	binary.BigEndian.PutUint16(dst[n+14:n+16], fs.IdleTimeout)
+	binary.BigEndian.PutUint16(dst[n+16:n+18], fs.HardTimeout)
+	binary.BigEndian.PutUint16(dst[n+18:n+20], fs.Flags)
+	binary.BigEndian.PutUint64(dst[n+24:n+32], fs.Cookie)
+	binary.BigEndian.PutUint64(dst[n+32:n+40], fs.PacketCount)
+	binary.BigEndian.PutUint64(dst[n+40:n+48], fs.ByteCount)
+	dst = matchOrEmpty(fs.Match).AppendTo(dst)
+	dst = appendInstructions(dst, fs.Instructions)
+	binary.BigEndian.PutUint16(dst[n:n+2], uint16(len(dst)-n))
+	return dst
 }
 
 // UnmarshalBody implements Message.
@@ -229,7 +225,7 @@ func (m *MultipartReply) UnmarshalBody(b []byte) error {
 		if err != nil {
 			return fmt.Errorf("flow stats entry: %w", err)
 		}
-		instrs, err := unmarshalInstructions(entry[flowStatsFixedLen+n:])
+		instrs, err := decodeInstructions(entry[flowStatsFixedLen+n:])
 		if err != nil {
 			return fmt.Errorf("flow stats entry: %w", err)
 		}

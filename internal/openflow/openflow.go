@@ -95,9 +95,10 @@ const MaxMessageLen = 1 << 17
 type Message interface {
 	// Type returns the ofp_type this message encodes as.
 	Type() MessageType
-	// MarshalBody serializes the message body (everything after the
-	// 8-byte header).
-	MarshalBody() ([]byte, error)
+	// AppendBody append-encodes the message body (everything after the
+	// 8-byte header) onto dst and returns the extended slice. With a
+	// reused dst it performs no allocation.
+	AppendBody(dst []byte) ([]byte, error)
 	// UnmarshalBody parses the message body.
 	UnmarshalBody(b []byte) error
 }
@@ -115,9 +116,6 @@ var _ Message = (*Raw)(nil)
 // Type implements Message.
 func (r *Raw) Type() MessageType { return r.RawType }
 
-// MarshalBody implements Message.
-func (r *Raw) MarshalBody() ([]byte, error) { return r.Body, nil }
-
 // UnmarshalBody implements Message. It deep-copies b: decode buffers are
 // pool-recycled, so retaining the input slice would alias the next read.
 func (r *Raw) UnmarshalBody(b []byte) error {
@@ -125,21 +123,11 @@ func (r *Raw) UnmarshalBody(b []byte) error {
 	return nil
 }
 
-// AppendBody implements BodyAppender.
+// AppendBody implements Message.
 //
 //dfi:hotpath
 func (r *Raw) AppendBody(dst []byte) ([]byte, error) {
 	return appendBytes(dst, r.Body), nil
-}
-
-// BodyAppender is implemented by message types whose bodies append-encode
-// into a caller-supplied buffer without intermediate allocation. These are
-// the types on the DFI Proxy's relay and the PCP's install paths (FlowMod,
-// PacketIn, PacketOut, Raw passthrough): with a reused buffer their
-// steady-state encoding is zero-alloc. AppendMessage uses AppendBody when
-// available and falls back to MarshalBody plus a copy otherwise.
-type BodyAppender interface {
-	AppendBody(dst []byte) ([]byte, error)
 }
 
 // grow extends b by n bytes, zeroing the extension, and returns the
@@ -176,20 +164,10 @@ func oversizeErr(t MessageType, bodyLen int) error {
 	return fmt.Errorf("marshal %v: body of %d bytes exceeds max", t, bodyLen)
 }
 
-// appendMarshaledBody is the MarshalBody fallback for message types
-// without an AppendBody; it pays the marshal allocation deliberately.
-func appendMarshaledBody(dst []byte, m Message) ([]byte, error) {
-	body, err := m.MarshalBody()
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, body...), nil
-}
-
 // AppendMessage append-encodes a full message (header + body) with the
-// given transaction id onto dst and returns the extended slice. With a
-// reused dst and a BodyAppender message it performs no allocation; this is
-// the Conn send path's codec.
+// given transaction id onto dst and returns the extended slice. It is the
+// package's one encoder: Encode, WriteMessage and every Conn send go
+// through it, and with a reused dst it performs no allocation.
 //
 //dfi:hotpath
 func AppendMessage(dst []byte, xid uint32, m Message) ([]byte, error) {
@@ -198,12 +176,7 @@ func AppendMessage(dst []byte, xid uint32, m Message) ([]byte, error) {
 	dst[start] = Version
 	dst[start+1] = uint8(m.Type())
 	binary.BigEndian.PutUint32(dst[start+4:start+8], xid)
-	var err error
-	if ba, ok := m.(BodyAppender); ok {
-		dst, err = ba.AppendBody(dst)
-	} else {
-		dst, err = appendMarshaledBody(dst, m)
-	}
+	dst, err := m.AppendBody(dst)
 	if err != nil {
 		return dst[:start], encodeErr(m.Type(), err)
 	}

@@ -108,7 +108,7 @@ func sampleMatch() *Match {
 
 func TestMatchRoundTrip(t *testing.T) {
 	m := sampleMatch()
-	b := m.Marshal()
+	b := m.AppendTo(nil)
 	if len(b)%8 != 0 {
 		t.Fatalf("match length %d not 8-aligned", len(b))
 	}
@@ -126,7 +126,7 @@ func TestMatchRoundTrip(t *testing.T) {
 
 func TestEmptyMatchRoundTrip(t *testing.T) {
 	m := &Match{}
-	b := m.Marshal()
+	b := m.AppendTo(nil)
 	if len(b) != 8 {
 		t.Fatalf("empty match is %d bytes, want 8", len(b))
 	}
@@ -146,7 +146,7 @@ func TestMatchUDPAndARPRoundTrip(t *testing.T) {
 		UDPSrc:  U16(53),
 		UDPDst:  U16(5353),
 	}
-	got, _, err := unmarshalMatch(m.Marshal())
+	got, _, err := unmarshalMatch(m.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestMatchUDPAndARPRoundTrip(t *testing.T) {
 		ARPSPA:  IPPtr(netpkt.MustParseIPv4("10.0.0.1")),
 		ARPTPA:  IPPtr(netpkt.MustParseIPv4("10.0.0.2")),
 	}
-	got, _, err = unmarshalMatch(a.Marshal())
+	got, _, err = unmarshalMatch(a.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

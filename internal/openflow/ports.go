@@ -32,8 +32,10 @@ type PortDesc struct {
 
 const portDescLen = 64
 
-func (p *PortDesc) marshal() []byte {
-	b := make([]byte, portDescLen)
+func (p *PortDesc) appendTo(dst []byte) []byte {
+	n := len(dst)
+	dst = grow(dst, portDescLen)
+	b := dst[n:]
 	binary.BigEndian.PutUint32(b[0:4], p.PortNo)
 	copy(b[8:14], p.HWAddr[:])
 	name := p.Name
@@ -45,7 +47,7 @@ func (p *PortDesc) marshal() []byte {
 	binary.BigEndian.PutUint32(b[36:40], p.State)
 	// Feature/speed fields are zero: the software switch does not model
 	// link speeds.
-	return b
+	return dst
 }
 
 func unmarshalPortDesc(b []byte) (*PortDesc, error) {
@@ -82,12 +84,12 @@ var _ Message = (*PortStatus)(nil)
 // Type implements Message.
 func (*PortStatus) Type() MessageType { return TypePortStatus }
 
-// MarshalBody implements Message.
-func (p *PortStatus) MarshalBody() ([]byte, error) {
-	b := make([]byte, 8+portDescLen)
-	b[0] = p.Reason
-	copy(b[8:], p.Desc.marshal())
-	return b, nil
+// AppendBody implements Message.
+func (p *PortStatus) AppendBody(dst []byte) ([]byte, error) {
+	n := len(dst)
+	dst = grow(dst, 8) // reason + pad
+	dst[n] = p.Reason
+	return p.Desc.appendTo(dst), nil
 }
 
 // UnmarshalBody implements Message.
@@ -116,12 +118,13 @@ var _ Message = (*TableMod)(nil)
 // Type implements Message.
 func (*TableMod) Type() MessageType { return TypeTableMod }
 
-// MarshalBody implements Message.
-func (t *TableMod) MarshalBody() ([]byte, error) {
-	b := make([]byte, 8)
-	b[0] = t.TableID
-	binary.BigEndian.PutUint32(b[4:8], t.Config)
-	return b, nil
+// AppendBody implements Message.
+func (t *TableMod) AppendBody(dst []byte) ([]byte, error) {
+	n := len(dst)
+	dst = grow(dst, 8)
+	dst[n] = t.TableID
+	binary.BigEndian.PutUint32(dst[n+4:n+8], t.Config)
+	return dst, nil
 }
 
 // UnmarshalBody implements Message.

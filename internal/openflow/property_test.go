@@ -73,7 +73,7 @@ func TestPropertyMatchMarshalRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
 		m := randomMatch(rng)
-		b := m.Marshal()
+		b := m.AppendTo(nil)
 		if len(b)%8 != 0 {
 			t.Fatalf("match %v marshals to %d bytes (not 8-aligned)", m, len(b))
 		}
@@ -88,7 +88,7 @@ func TestPropertyMatchMarshalRoundTrip(t *testing.T) {
 			t.Fatalf("round trip: %v != %v", got, m)
 		}
 		// Re-marshal must be byte-identical (stable encoding).
-		if !bytes.Equal(got.Marshal(), b) {
+		if !bytes.Equal(got.AppendTo(nil), b) {
 			t.Fatalf("unstable encoding for %v", m)
 		}
 	}
@@ -278,7 +278,7 @@ func TestPropertyQuickMatchValues(t *testing.T) {
 	// quick-generated value structs survive pointerization and equality.
 	f := func(inPort uint32, ethType uint16, proto uint8) bool {
 		m := &Match{InPort: U32(inPort), EthType: U16(ethType), IPProto: U8(proto)}
-		got, _, err := unmarshalMatch(m.Marshal())
+		got, _, err := unmarshalMatch(m.AppendTo(nil))
 		if err != nil {
 			return false
 		}

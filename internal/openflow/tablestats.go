@@ -16,13 +16,14 @@ type TableStatsEntry struct {
 
 const tableStatsLen = 24
 
-func (t *TableStatsEntry) marshal() []byte {
-	b := make([]byte, tableStatsLen)
-	b[0] = t.TableID
-	binary.BigEndian.PutUint32(b[4:8], t.ActiveCount)
-	binary.BigEndian.PutUint64(b[8:16], t.LookupCount)
-	binary.BigEndian.PutUint64(b[16:24], t.MatchedCount)
-	return b
+func (t *TableStatsEntry) appendTo(dst []byte) []byte {
+	n := len(dst)
+	dst = grow(dst, tableStatsLen)
+	dst[n] = t.TableID
+	binary.BigEndian.PutUint32(dst[n+4:n+8], t.ActiveCount)
+	binary.BigEndian.PutUint64(dst[n+8:n+16], t.LookupCount)
+	binary.BigEndian.PutUint64(dst[n+16:n+24], t.MatchedCount)
+	return dst
 }
 
 func unmarshalTableStats(b []byte) ([]*TableStatsEntry, error) {
@@ -52,12 +53,13 @@ type AggregateStats struct {
 
 const aggregateStatsLen = 24
 
-func (a *AggregateStats) marshal() []byte {
-	b := make([]byte, aggregateStatsLen)
-	binary.BigEndian.PutUint64(b[0:8], a.PacketCount)
-	binary.BigEndian.PutUint64(b[8:16], a.ByteCount)
-	binary.BigEndian.PutUint32(b[16:20], a.FlowCount)
-	return b
+func (a *AggregateStats) appendTo(dst []byte) []byte {
+	n := len(dst)
+	dst = grow(dst, aggregateStatsLen)
+	binary.BigEndian.PutUint64(dst[n:n+8], a.PacketCount)
+	binary.BigEndian.PutUint64(dst[n+8:n+16], a.ByteCount)
+	binary.BigEndian.PutUint32(dst[n+16:n+20], a.FlowCount)
+	return dst
 }
 
 func unmarshalAggregateStats(b []byte) (*AggregateStats, error) {

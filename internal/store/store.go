@@ -9,6 +9,7 @@ package store
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/dfi-sdn/dfi/internal/simclock"
@@ -30,6 +31,7 @@ func Zero() LatencyModel { return zeroLatency{} }
 // Gaussian is a LatencyModel with normally distributed samples truncated at
 // zero, matching the mean ± σ figures the paper reports.
 type Gaussian struct {
+	overshoot
 	mu     sync.Mutex
 	rng    *rand.Rand
 	mean   time.Duration
@@ -56,21 +58,34 @@ func (g *Gaussian) Sample() time.Duration {
 }
 
 // Fixed returns a LatencyModel that always samples d.
-func Fixed(d time.Duration) LatencyModel { return fixedLatency(d) }
+func Fixed(d time.Duration) LatencyModel { return &fixedLatency{d: d} }
 
-type fixedLatency time.Duration
+type fixedLatency struct {
+	overshoot
+	d time.Duration
+}
 
-func (f fixedLatency) Sample() time.Duration { return time.Duration(f) }
+func (f *fixedLatency) Sample() time.Duration { return f.d }
+
+// overshoot is a model's running account of its real-clock sleep error:
+// the time Charge slept for it beyond the costs it sampled (negative when
+// short). Every model this package builds embeds one.
+type overshoot struct{ owed atomic.Int64 }
+
+func (o *overshoot) account() *atomic.Int64 { return &o.owed }
 
 // Charge sleeps on clock for one sample of m and returns the charged cost.
 // A nil model or clock charges nothing.
 //
-// On the real clock, time.Sleep overshoots by roughly the kernel timer
-// granularity (measured near a millisecond on coarse-tick kernels), which
-// would inflate every calibrated stage cost. Charge compensates by
-// measuring the overshoot once and sleeping that much less; charges below
-// the measured overshoot cost only their code path, keeping the benchmark's
-// aggregate latency faithful to the model.
+// On the real clock, time.Sleep overshoots by up to the kernel timer
+// granularity (near a millisecond on coarse-tick kernels) plus however long
+// a busy host takes to reschedule the sleeper. Charge keeps each model's
+// total time slept equal to the total it sampled: what one sleep overshoots
+// is owed, and the model's next sleeps are shortened until it is repaid. A
+// calibrated stage therefore costs its model's mean on average, whatever
+// the tick or the load, instead of that mean plus (or minus) a correction
+// measured once under whatever load the process started with. Models from
+// outside this package are slept uncorrected.
 func Charge(clock simclock.Clock, m LatencyModel) time.Duration {
 	if m == nil || clock == nil {
 		return 0
@@ -79,41 +94,24 @@ func Charge(clock simclock.Clock, m LatencyModel) time.Duration {
 	if d <= 0 {
 		return 0
 	}
-	if _, isReal := clock.(simclock.Real); isReal {
-		if over := sleepOvershoot(); d > over {
-			time.Sleep(d - over)
-		}
+	if _, isReal := clock.(simclock.Real); !isReal {
+		clock.Sleep(d)
 		return d
 	}
-	clock.Sleep(d)
+	a, ok := m.(interface{ account() *atomic.Int64 })
+	if !ok {
+		time.Sleep(d)
+		return d
+	}
+	owed := a.account()
+	var slept time.Duration
+	if want := d - time.Duration(owed.Load()); want > 0 {
+		start := time.Now()
+		time.Sleep(want)
+		slept = time.Since(start)
+	}
+	owed.Add(int64(slept - d))
 	return d
-}
-
-var (
-	overshootOnce sync.Once
-	overshootEst  time.Duration
-)
-
-// sleepOvershoot measures, once, how far time.Sleep overshoots on this
-// machine (a memoized hardware calibration constant, not mutable state).
-func sleepOvershoot() time.Duration {
-	overshootOnce.Do(func() {
-		const (
-			probes = 8
-			probeD = 200 * time.Microsecond
-		)
-		var total time.Duration
-		for i := 0; i < probes; i++ {
-			start := time.Now()
-			time.Sleep(probeD)
-			total += time.Since(start) - probeD
-		}
-		overshootEst = total / probes
-		if overshootEst < 0 {
-			overshootEst = 0
-		}
-	})
-	return overshootEst
 }
 
 // Table is a concurrent map with copy-on-read iteration, the storage

@@ -154,3 +154,26 @@ func TestTableUpdate(t *testing.T) {
 		t.Fatalf("counter = %d, want 2", v)
 	}
 }
+
+// TestChargeRealClockKeepsTheModelsTotal: on the wall clock a model's
+// charges sleep, in total, at least the costs they sampled and at most one
+// late wake-up more, even when each cost is below the timer granularity.
+// Sleep overshoot is repaid out of the same model's next sleeps.
+func TestChargeRealClockKeepsTheModelsTotal(t *testing.T) {
+	const (
+		n = 20
+		d = 300 * time.Microsecond
+	)
+	Charge(simclock.Real{}, Fixed(d)) // another model: its account is its own
+	m := Fixed(d)
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		if got := Charge(simclock.Real{}, m); got != d {
+			t.Fatalf("Charge = %v, want %v", got, d)
+		}
+	}
+	elapsed := time.Since(start)
+	if elapsed < n*d || elapsed > n*d+100*time.Millisecond {
+		t.Fatalf("%d charges of %v took %v, want about %v", n, d, elapsed, n*d)
+	}
+}

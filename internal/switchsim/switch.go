@@ -366,11 +366,7 @@ func (s *Switch) SweepTimeouts() int {
 
 	s.mu.Lock()
 	for _, t := range s.tables {
-		removed := t.removeWhere(func(e *flowEntry) bool {
-			dead, _ := e.expired(now)
-			return dead
-		})
-		for _, e := range removed {
+		for _, e := range t.expire(now) {
 			_, reason := e.expired(now)
 			removals = append(removals, removal{entry: e, reason: reason, table: t.id})
 		}
@@ -568,11 +564,9 @@ func (s *Switch) ApplyFlowMod(fm *openflow.FlowMod) error {
 		if t.size() >= s.cfg.TableCapacity {
 			// Evict expired entries before refusing, as hardware table
 			// managers do; FLOW_REMOVED notifications are best-effort
-			// skipped on this opportunistic path.
-			t.removeWhere(func(e *flowEntry) bool {
-				dead, _ := e.expired(now)
-				return dead
-			})
+			// skipped on this opportunistic path. expire visits no entry
+			// while none can have expired.
+			t.expire(now)
 		}
 		if t.size() >= s.cfg.TableCapacity {
 			s.mu.Unlock()

@@ -700,6 +700,68 @@ func TestCapacityEvictsExpiredBeforeRefusing(t *testing.T) {
 	}
 }
 
+// TestFullTableScansOnlyWhenADeadlineIsDue: adding to a full table whose
+// earliest deadline lies in the future visits no entry, however often it
+// is refused; once a deadline passes, one scan evicts the dead entries and
+// the next refusals are free again until the new earliest deadline.
+func TestFullTableScansOnlyWhenADeadlineIsDue(t *testing.T) {
+	epoch := time.Date(2019, 3, 1, 9, 0, 0, 0, time.UTC)
+	clk := simclock.NewSimulated(epoch)
+	const capacity = 64
+	sw := NewSwitch(Config{DPID: 1, TableCapacity: capacity, Clock: clk})
+	add := func(port uint16, idle uint16) error {
+		return sw.ApplyFlowMod(&openflow.FlowMod{
+			TableID: 0, Command: openflow.FlowModAdd, Priority: 1, IdleTimeout: idle,
+			Match: &openflow.Match{TCPDst: openflow.U16(port)},
+		})
+	}
+	// Half the table idles out after 5 s, half after 60 s.
+	for i := uint16(0); i < capacity; i++ {
+		idle := uint16(60)
+		if i%2 == 0 {
+			idle = 5
+		}
+		if err := add(i, idle); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl := sw.tables[0]
+	for i := 0; i < 100; i++ {
+		if err := add(1000, 0); err == nil {
+			t.Fatal("full table accepted an entry")
+		}
+	}
+	if tbl.scanned != 0 {
+		t.Fatalf("refused adds with no deadline due visited %d entries, want 0", tbl.scanned)
+	}
+
+	clk.ScheduleAfter(10*time.Second, func() {})
+	clk.Run()
+	if err := add(1000, 0); err != nil {
+		t.Fatalf("add after the short entries expired: %v", err)
+	}
+	if tbl.scanned != capacity {
+		t.Fatalf("first add past the deadline visited %d entries, want one scan of %d", tbl.scanned, capacity)
+	}
+	if got := sw.FlowCount(0); got != capacity/2+1 {
+		t.Fatalf("table holds %d entries, want %d", got, capacity/2+1)
+	}
+	// Fill the freed slots with entries that never expire, then refuse
+	// again: the next deadline is 60 s out, so nothing is scanned.
+	for i := uint16(2000); sw.FlowCount(0) < capacity; i++ {
+		if err := add(i, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := tbl.scanned
+	if err := add(3000, 0); err == nil {
+		t.Fatal("full table accepted an entry")
+	}
+	if tbl.scanned != before {
+		t.Fatalf("refused add before the next deadline visited %d entries", tbl.scanned-before)
+	}
+}
+
 func TestExactIndexPriorityDemotion(t *testing.T) {
 	// Two rules with the same canonical exact match but different
 	// priorities cannot share the index slot; the higher priority must

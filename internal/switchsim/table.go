@@ -35,6 +35,23 @@ func (e *flowEntry) expired(now time.Time) (bool, uint8) {
 	return false, 0
 }
 
+// deadline returns when e expires unless traffic refreshes it, and false
+// when it has no timeout. e is expired at now iff !now.Before(deadline).
+func (e *flowEntry) deadline() (time.Time, bool) {
+	var d time.Time
+	ok := false
+	if e.hardTimeout > 0 {
+		d, ok = e.installedAt.Add(e.hardTimeout), true
+	}
+	if e.idleTimeout > 0 {
+		if idle := e.lastMatched.Add(e.idleTimeout); !ok || idle.Before(d) {
+			d = idle
+		}
+		ok = true
+	}
+	return d, ok
+}
+
 // exactKind distinguishes the canonical fully-pinned match shapes that
 // ExactMatchFor produces, so exact entries can live in a hash index (the
 // software analogue of a TCAM exact-match partition).
@@ -158,6 +175,14 @@ type table struct {
 	// switch's table mutex like everything else here.
 	lookups uint64
 	matches uint64
+
+	// due is a lower bound on the earliest deadline of any entry, zero
+	// when no entry has a timeout. Traffic only moves idle deadlines later
+	// and removals only raise the true minimum, so the bound stays valid
+	// until add lowers it or expire recomputes it.
+	due time.Time
+	// scanned counts entries visited by expiry scans.
+	scanned uint64
 }
 
 func newTable(id uint8) *table {
@@ -206,6 +231,7 @@ func (t *table) lookup(k netpkt.FlowKey, inPort uint32, now time.Time) *flowEntr
 // add inserts an entry, replacing any existing entry with an identical
 // match and priority (OpenFlow add semantics).
 func (t *table) add(e *flowEntry) {
+	t.lowerDue(e)
 	if key := exactKeyForMatch(e.match); key.kind != kindNone {
 		if old, ok := t.exact[key]; ok && old.priority != e.priority {
 			// Same match at a different priority cannot share the index
@@ -258,6 +284,32 @@ func (t *table) removeWhere(pred func(*flowEntry) bool) []*flowEntry {
 		}
 	}
 	return removed
+}
+
+// lowerDue lowers the deadline bound to cover e.
+func (t *table) lowerDue(e *flowEntry) {
+	if d, ok := e.deadline(); ok && (t.due.IsZero() || d.Before(t.due)) {
+		t.due = d
+	}
+}
+
+// expire removes and returns the entries expired at now. Until the
+// deadline bound is reached no entry can have expired, so it returns
+// without visiting any; otherwise it scans the table and recomputes the
+// bound from the survivors.
+func (t *table) expire(now time.Time) []*flowEntry {
+	if t.due.IsZero() || now.Before(t.due) {
+		return nil
+	}
+	t.due = time.Time{}
+	return t.removeWhere(func(e *flowEntry) bool {
+		t.scanned++
+		if dead, _ := e.expired(now); dead {
+			return true
+		}
+		t.lowerDue(e)
+		return false
+	})
 }
 
 // forEach visits every entry.
