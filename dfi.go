@@ -325,7 +325,7 @@ func New(opts ...Option) (*System, error) {
 	// error-severity findings (an inert deny shadowed by a broader allow, a
 	// window that can never fire) reject the document atomically; warnings
 	// surface through the admin API and dfictl.
-	s.engine.SetCheck(verify.Check)
+	s.engine.SetCheck(verify.Gate)
 	if cfg.policySet {
 		if _, err := s.engine.SetSource(cfg.policySource); err != nil {
 			return nil, fmt.Errorf("dfi: policy source: %w", err)

@@ -25,7 +25,7 @@ type PolicyDocJSON struct {
 // verifier's diagnostics over the proposed document (a dry run reports
 // error-severity findings here; a real apply can only carry warnings,
 // since errors reject with 422); Widening is the allow-set growth versus
-// the currently-running document.
+// the document the apply replaced (or would replace).
 type PolicyDeltaJSON struct {
 	DryRun   bool              `json:"dryRun,omitempty"`
 	Insert   []RuleJSON        `json:"insert"`
@@ -61,42 +61,10 @@ func registerPolicy(mux *http.ServeMux, sys *dfi.System) {
 	})
 
 	mux.HandleFunc("PUT /v1/policy", func(w http.ResponseWriter, r *http.Request) {
-		var j PolicyDocJSON
-		if err := json.NewDecoder(r.Body).Decode(&j); err != nil {
-			httpError(w, http.StatusBadRequest, CodeBadRequest, err)
-			return
-		}
-		dry := isDryRun(r)
-		prevSrc := eng.Source()
-		var (
-			d   compile.Delta
-			err error
-		)
-		if dry {
-			d, err = eng.Diff(j.Source)
-		} else {
-			d, err = eng.SetSource(j.Source)
-		}
-		if err != nil {
-			httpPolicyError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, annotate(fromDelta(d, dry), prevSrc, j.Source))
+		putPolicy(w, r, eng, isDryRun(r))
 	})
-
 	mux.HandleFunc("POST /v1/policy/diff", func(w http.ResponseWriter, r *http.Request) {
-		var j PolicyDocJSON
-		if err := json.NewDecoder(r.Body).Decode(&j); err != nil {
-			httpError(w, http.StatusBadRequest, CodeBadRequest, err)
-			return
-		}
-		prevSrc := eng.Source()
-		d, err := eng.Diff(j.Source)
-		if err != nil {
-			httpPolicyError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, annotate(fromDelta(d, true), prevSrc, j.Source))
+		putPolicy(w, r, eng, true)
 	})
 
 	mux.HandleFunc("GET /v1/policy/compiled", func(w http.ResponseWriter, _ *http.Request) {
@@ -126,20 +94,35 @@ func isDryRun(r *http.Request) bool {
 	}
 }
 
-// annotate attaches the verifier's findings for the proposed document and
-// the allow-set widening versus the previously-running one. The delta
-// itself already compiled, so parse failures here are impossible; the
-// guards keep the endpoint total anyway.
-func annotate(out PolicyDeltaJSON, prevSrc, nextSrc string) PolicyDeltaJSON {
-	next, err := policytext.Parse(strings.NewReader(nextSrc))
+// putPolicy applies the request's document or, for a dry run or diff,
+// computes the delta applying it would produce. The body is parsed and
+// compiled once; the response is annotated from that program and the one
+// the engine replaced (or would replace), read under the engine's lock.
+func putPolicy(w http.ResponseWriter, r *http.Request, eng *compile.Engine, dry bool) {
+	var j PolicyDocJSON
+	if err := json.NewDecoder(r.Body).Decode(&j); err != nil {
+		httpError(w, http.StatusBadRequest, CodeBadRequest, err)
+		return
+	}
+	doc, err := policytext.Parse(strings.NewReader(j.Source))
 	if err != nil {
-		return out
+		httpPolicyError(w, err)
+		return
 	}
-	out.Findings = verify.Document(next)
-	if prev, err := policytext.Parse(strings.NewReader(prevSrc)); err == nil {
-		out.Widening = verify.VerifyTransition(prev, next)
+	next := compile.Compile(doc)
+	apply := eng.Apply
+	if dry {
+		apply = eng.Diff
 	}
-	return out
+	d, prev, err := apply(next)
+	if err != nil {
+		httpPolicyError(w, err)
+		return
+	}
+	out := fromDelta(d, dry)
+	out.Findings = verify.Findings(next)
+	out.Widening = verify.VerifyTransition(prev, next)
+	writeJSON(w, http.StatusOK, out)
 }
 
 func fromDelta(d compile.Delta, dry bool) PolicyDeltaJSON {

@@ -59,12 +59,11 @@ func (s *batchSwitch) WriteFlowMods(fms []*openflow.FlowMod) error {
 	return nil
 }
 
-func newFlushEnv(t testing.TB, nSwitches int, fanOut int, delay time.Duration) (*PCP, []*batchSwitch) {
+func newFlushEnv(t testing.TB, nSwitches int, delay time.Duration) (*PCP, []*batchSwitch) {
 	t.Helper()
 	p := New(Config{
-		Entity:      entity.NewManager(),
-		Policy:      policy.NewManager(),
-		FlushFanOut: fanOut,
+		Entity: entity.NewManager(),
+		Policy: policy.NewManager(),
 	})
 	var inflight, maxInflight atomic.Int32
 	sws := make([]*batchSwitch, nSwitches)
@@ -79,7 +78,7 @@ func newFlushEnv(t testing.TB, nSwitches int, fanOut int, delay time.Duration) (
 // writes, the flush delivers all compiled deletes in one WriteFlowMods call
 // and never falls back to per-mod writes.
 func TestFlushPoliciesUsesBatcher(t *testing.T) {
-	p, sws := newFlushEnv(t, 3, 0, 0)
+	p, sws := newFlushEnv(t, 3, 0)
 	p.FlushPolicies(obs.SpanContext{}, []policy.RuleID{5, 9, 11})
 	for i, sw := range sws {
 		if sw.singles != 0 {
@@ -94,26 +93,11 @@ func TestFlushPoliciesUsesBatcher(t *testing.T) {
 	}
 }
 
-// TestFlushPoliciesSerialFanOut: FlushFanOut=1 degenerates to the serial
-// loop and still reaches every switch.
-func TestFlushPoliciesSerialFanOut(t *testing.T) {
-	p, sws := newFlushEnv(t, 4, 1, 0)
-	p.FlushPolicies(obs.SpanContext{}, []policy.RuleID{1})
-	for i, sw := range sws {
-		if len(sw.batches) != 1 {
-			t.Fatalf("switch %d not flushed: %d batches", i, len(sw.batches))
-		}
-	}
-	if max := sws[0].maxInflight.Load(); max > 1 {
-		t.Fatalf("serial flush observed %d concurrent writes", max)
-	}
-}
-
-// TestFlushPoliciesParallelFanOut: with the default worker bound, a flush
+// TestFlushPoliciesParallelFanOut: with the flushFanOut worker bound, a flush
 // across many slow switches overlaps their writes while still reaching all
 // of them before returning (the flush is synchronous).
 func TestFlushPoliciesParallelFanOut(t *testing.T) {
-	p, sws := newFlushEnv(t, 32, 8, 2*time.Millisecond)
+	p, sws := newFlushEnv(t, 32, 2*time.Millisecond)
 	p.FlushPolicies(obs.SpanContext{}, []policy.RuleID{5, 9})
 	for i, sw := range sws {
 		if len(sw.batches) != 1 || len(sw.batches[0]) != 2 {
@@ -123,29 +107,24 @@ func TestFlushPoliciesParallelFanOut(t *testing.T) {
 	if max := sws[0].maxInflight.Load(); max < 2 {
 		t.Fatalf("parallel flush never overlapped (max inflight %d)", max)
 	}
-	if max := sws[0].maxInflight.Load(); max > 8 {
+	if max := sws[0].maxInflight.Load(); max > flushFanOut {
 		t.Fatalf("fan-out exceeded worker bound: %d", max)
 	}
 }
 
 // benchmarkFlushFanOut measures one synchronous FlushPolicies across
 // nSwitches switches whose batch write costs ~200µs (a realistic TCP
-// write+ack RTT), serial (FlushFanOut=1) vs the default bounded fan-out.
-// The paper's revocation latency (time-to-enforcement) is dominated by
-// this fan-out at scale.
+// write+ack RTT) under the bounded fan-out. The paper's revocation latency
+// (time-to-enforcement) is dominated by this fan-out at scale.
 func benchmarkFlushFanOut(b *testing.B, nSwitches int) {
 	const perSwitch = 200 * time.Microsecond
 	ids := []policy.RuleID{5, 9, 11}
-	run := func(b *testing.B, fanOut int) {
-		p, _ := newFlushEnv(b, nSwitches, fanOut, perSwitch)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.FlushPolicies(obs.SpanContext{}, ids)
-		}
+	p, _ := newFlushEnv(b, nSwitches, perSwitch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.FlushPolicies(obs.SpanContext{}, ids)
 	}
-	b.Run("serial", func(b *testing.B) { run(b, 1) })
-	b.Run("parallel", func(b *testing.B) { run(b, 0) }) // default bound (8)
 }
 
 func BenchmarkFlushFanOut_1Switches(b *testing.B)  { benchmarkFlushFanOut(b, 1) }
@@ -157,7 +136,7 @@ func BenchmarkFlushFanOut_32Switches(b *testing.B) { benchmarkFlushFanOut(b, 32)
 // mutations.
 func newPolicyEnv(t testing.TB, nSwitches int) (*PCP, *policy.Manager, []*batchSwitch) {
 	t.Helper()
-	p, sws := newFlushEnv(t, nSwitches, 0, 0)
+	p, sws := newFlushEnv(t, nSwitches, 0)
 	registerOraclePDPs(t, p.cfg.Policy)
 	return p, p.cfg.Policy, sws
 }

@@ -62,6 +62,11 @@ var ErrUnknownSwitch = errors.New("pcp: unknown switch")
 // rulePriority is the priority of every table-0 rule the PCP installs.
 const rulePriority uint16 = 100
 
+// flushFanOut bounds how many switches FlushPolicies writes to
+// concurrently. The flush is synchronous regardless: it returns only after
+// every switch was written, so time-to-enforcement spans stay accurate.
+const flushFanOut = 8
+
 // Decision is the outcome of processing one new flow.
 type Decision struct {
 	// Allow reports whether the flow may proceed (and the packet-in may be
@@ -109,12 +114,6 @@ type Config struct {
 	// cookie-scoped flushes, not timeouts (default 300/30).
 	AllowIdleTimeoutSec uint16
 	DenyIdleTimeoutSec  uint16
-	// FlushFanOut bounds how many switches FlushPolicies writes to
-	// concurrently when flushing cookie-scoped rules (default 8). 1
-	// serializes the writes (the pre-fan-out behaviour); the flush is
-	// synchronous either way — it returns only after every switch was
-	// written, so time-to-enforcement spans stay accurate.
-	FlushFanOut int
 	// FlowCacheSize bounds the flow-decision cache, the LRU that lets a
 	// re-admitted flow skip the binding and policy queries while both the
 	// policy epoch and the entity (binding) epoch are unchanged (see
@@ -222,9 +221,6 @@ func New(cfg Config) *PCP {
 	}
 	if cfg.DenyIdleTimeoutSec == 0 {
 		cfg.DenyIdleTimeoutSec = 30
-	}
-	if cfg.FlushFanOut <= 0 {
-		cfg.FlushFanOut = 8
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.Real{}
@@ -885,7 +881,7 @@ func (p *PCP) FlushPolicies(sc obs.SpanContext, ids []policy.RuleID) {
 	// so the policy mutation span measuring time-to-enforcement closes at
 	// the true enforcement point, and callers (revocation paths, tests)
 	// observe a completed flush on return.
-	if workers := min(p.cfg.FlushFanOut, len(clients)); workers <= 1 {
+	if workers := min(flushFanOut, len(clients)); workers <= 1 {
 		for i := range clients {
 			p.flushSwitch(span, dpids[i], clients[i], fms)
 		}

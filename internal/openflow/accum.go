@@ -65,7 +65,7 @@ func (a *Accumulator) consume(b []byte, emit func(*Frame) error) ([]byte, error)
 			return b, badVersionErr(b[0])
 		}
 		length := int(uint16(b[2])<<8 | uint16(b[3]))
-		if length < headerLen || length > MaxMessageLen {
+		if length < headerLen {
 			return b, badLengthErr(length)
 		}
 		if len(b) < length {

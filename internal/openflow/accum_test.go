@@ -142,13 +142,6 @@ func TestAccumulatorMalformedHeader(t *testing.T) {
 	}
 	acc.Reset()
 
-	// Length above MaxMessageLen.
-	over := MaxMessageLen + 1
-	if err := acc.Feed([]byte{Version, 0, byte(over >> 8), byte(over), 0, 0, 0, 0}, emit); err == nil {
-		t.Fatal("oversized length accepted")
-	}
-	acc.Reset()
-
 	// A malformed header *after* a valid frame still fails, and the valid
 	// frame is still delivered first.
 	good, err := Encode(9, &Hello{})

@@ -92,7 +92,7 @@ func ReadFrame(r io.Reader, f *Frame) error {
 		return badVersionErr(hdr[0])
 	}
 	length := int(binary.BigEndian.Uint16(hdr[2:4]))
-	if length < headerLen || length > MaxMessageLen {
+	if length < headerLen {
 		f.buf = f.buf[:0]
 		return badLengthErr(length)
 	}

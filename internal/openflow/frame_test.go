@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -48,6 +50,35 @@ func TestAppendMessageErrorRestoresDst(t *testing.T) {
 	got, err := AppendMessage(dst, 1, huge)
 	if err == nil {
 		t.Fatal("want oversize error")
+	}
+	if !bytes.Equal(got, []byte{1, 2, 3}) {
+		t.Fatalf("dst after error = % x", got)
+	}
+}
+
+// TestAppendMessageRefusesOverLengthField: an 800-entry flow-stats reply
+// encodes to more bytes than the 16-bit header length can name. Encoding
+// it must fail with the oversize error and leave dst as it was, never
+// send a header whose length wraps.
+func TestAppendMessageRefusesOverLengthField(t *testing.T) {
+	reply := &MultipartReply{PartType: MultipartFlow}
+	for i := range 800 {
+		reply.Flows = append(reply.Flows, &FlowStatsEntry{
+			Priority: 100, Cookie: uint64(i), Match: sampleMatch(),
+			Instructions: []Instruction{&InstructionApplyActions{Actions: []Action{&ActionOutput{Port: 1}}}},
+		})
+	}
+	body, err := reply.AppendBody(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if headerLen+len(body) <= math.MaxUint16 {
+		t.Fatalf("reply is only %d bytes; the test needs one the length field cannot name", headerLen+len(body))
+	}
+	dst := []byte{1, 2, 3}
+	got, err := AppendMessage(dst, 1, reply)
+	if err == nil || !strings.Contains(err.Error(), "exceeds max") {
+		t.Fatalf("err = %v, want the oversize error", err)
 	}
 	if !bytes.Equal(got, []byte{1, 2, 3}) {
 		t.Fatalf("dst after error = % x", got)

@@ -76,7 +76,7 @@ func FuzzReadMessage(f *testing.F) {
 	}
 	f.Add([]byte{Version, 0xff, 0, 8, 0, 0, 0, 1})    // unknown type → Raw
 	f.Add([]byte{Version, 0, 0, 7, 0, 0, 0, 1})       // length < header
-	f.Add([]byte{Version, 0, 0xff, 0xff, 0, 0, 0, 1}) // length > max
+	f.Add([]byte{Version, 0, 0xff, 0xff, 0, 0, 0, 1}) // longest length, no body
 	f.Fuzz(func(t *testing.T, data []byte) {
 		xid, m, err := ReadMessage(bytes.NewReader(data))
 		if err != nil {
@@ -141,6 +141,19 @@ func FuzzUnmarshalBody(f *testing.F) {
 		}
 		if !bytes.Equal(canon, canon2[3:]) {
 			t.Fatalf("%v body encoding is not a fixed point:\n first %x\nsecond %x", m.Type(), canon, canon2[3:])
+		}
+		// The whole message either carries its exact byte length in the
+		// header or is refused as too long for the 16-bit field.
+		wire, err := Encode(1, m2)
+		switch {
+		case headerLen+len(canon) > MaxMessageLen:
+			if err == nil {
+				t.Fatalf("%v message of %d bytes encoded", m.Type(), headerLen+len(canon))
+			}
+		case err != nil:
+			t.Fatalf("re-parsed %v message does not encode: %v", m.Type(), err)
+		case int(binary.BigEndian.Uint16(wire[2:4])) != len(wire):
+			t.Fatalf("%v header length %d, encoded %d bytes", m.Type(), binary.BigEndian.Uint16(wire[2:4]), len(wire))
 		}
 	})
 }

@@ -87,9 +87,10 @@ const NoBuffer uint32 = 0xffffffff
 
 const headerLen = 8
 
-// MaxMessageLen bounds accepted message sizes, guarding the decoder against
-// hostile or corrupt length fields.
-const MaxMessageLen = 1 << 17
+// MaxMessageLen is the largest message the header's 16-bit length field
+// can describe. AppendMessage refuses to encode anything longer rather
+// than send a header whose length disagrees with the bytes that follow.
+const MaxMessageLen = 1<<16 - 1
 
 // Message is an OpenFlow message body. Concrete message types implement it.
 type Message interface {
@@ -230,7 +231,7 @@ func ReadMessage(r io.Reader) (uint32, Message, error) {
 		return 0, nil, fmt.Errorf("openflow: unsupported version 0x%02x", hdr[0])
 	}
 	length := int(binary.BigEndian.Uint16(hdr[2:4]))
-	if length < headerLen || length > MaxMessageLen {
+	if length < headerLen {
 		return 0, nil, fmt.Errorf("openflow: bad message length %d", length)
 	}
 	xid := binary.BigEndian.Uint32(hdr[4:8])

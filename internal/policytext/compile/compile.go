@@ -1,10 +1,11 @@
 // Package compile lowers policytext documents into DFI's flat rule model
 // and keeps a running system's lowered rule set incrementally up to date.
 //
-// The package has two layers. Lower is the pure compilation stage: it
-// expands group references (transitively), resolves role aliases, applies
-// temporal windows and produces flat policy.Rule values, each carrying
-// provenance back to the source statement that produced it. Engine (see
+// The package has two layers. Compile is the pure compilation stage: it
+// expands group references (transitively) and resolves role aliases once
+// per statement, producing a Program of flat policy.Rule values, each
+// carrying provenance back to the source statement that produced it; Lower
+// is that Program filtered by temporal windows. Engine (see
 // engine.go) owns a live policy.Manager: it applies full documents
 // atomically and, for runtime events — group membership churn, template
 // instantiation, temporal window transitions — recomputes only the
@@ -15,6 +16,7 @@ package compile
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -73,26 +75,63 @@ type Delta struct {
 // Empty reports a no-op delta.
 func (d Delta) Empty() bool { return len(d.Insert) == 0 && len(d.Revoke) == 0 }
 
+// Program is a policy document compiled to rules: the parsed document
+// and, for each of its rule statements in document order, the statement's
+// window-ungated lowering. Compile builds it and nothing mutates it
+// afterwards, so the engine's plan, the verifier and the admin API's
+// annotations all read one value, and the engine keeps the value it
+// applied as its document state.
+type Program struct {
+	Doc *policytext.Document
+	// Stmts holds one entry per Doc.Rules statement, in the same order.
+	Stmts []StmtRules
+	// declErrs and stmtErrs are the compile errors, kept apart so the
+	// engine reports its pdp checks between them, in document order.
+	declErrs, stmtErrs policytext.ErrorList
+}
+
+// StmtRules is one rule statement with its lowering, regardless of the
+// statement's temporal window: Lower and the engine gate on
+// Window.Active, static analysis wants the rules a window contributes
+// once it opens.
+type StmtRules struct {
+	Stmt policytext.RuleStmt
+	// Template is the instance key of a template statement, "" for a
+	// document statement.
+	Template string
+	// Key is the statement's content identity (see stmtKey).
+	Key string
+	// Rules is empty when the statement failed to lower.
+	Rules []CompiledRule
+}
+
+// Compile lowers every statement of doc once and validates every group
+// declaration (unknown nested groups, cycles). It always returns the
+// program; statements that fail to lower carry no rules, and Lower and
+// Engine.Apply report every failure.
+func Compile(doc *policytext.Document) *Program {
+	p := &Program{Doc: doc, declErrs: validateDecls(doc)}
+	p.Stmts, p.stmtErrs = lowerStmts(doc, doc.Rules, "")
+	return p
+}
+
 // Lower compiles a document to its flat rule set as of time at: temporal
 // statements contribute rules only while their window is active. Every
 // statement is validated (group/role resolution, cycles, field conflicts)
 // regardless of window state, and all errors are reported together as a
 // policytext.ErrorList.
 func Lower(doc *policytext.Document, at time.Time) ([]CompiledRule, error) {
-	var errs policytext.ErrorList
-	errs = append(errs, validateDecls(doc)...)
+	p := Compile(doc)
+	if len(p.declErrs)+len(p.stmtErrs) > 0 {
+		return nil, append(slices.Clip(p.declErrs), p.stmtErrs...)
+	}
 	var out []CompiledRule
 	seen := map[string]bool{}
-	for _, rs := range doc.Rules {
-		crs, err := lowerStmt(doc, rs, "")
-		if err != nil {
-			errs = append(errs, err)
+	for _, st := range p.Stmts {
+		if !st.Stmt.Window.Active(at) {
 			continue
 		}
-		if !rs.Window.Active(at) {
-			continue
-		}
-		for _, cr := range crs {
+		for _, cr := range st.Rules {
 			if seen[cr.Key] {
 				continue
 			}
@@ -100,10 +139,71 @@ func Lower(doc *policytext.Document, at time.Time) ([]CompiledRule, error) {
 			out = append(out, cr)
 		}
 	}
+	return out, nil
+}
+
+// CompileTemplate substitutes args into a template body, parses the
+// resulting statements and lowers each, exactly as Engine.Instantiate
+// does. A bad template name, argument count or substituted line returns
+// no statements; otherwise every body statement comes back, those that
+// failed to lower without rules and with their errors in the returned
+// policytext.ErrorList. Static analysis calls it with placeholder
+// arguments to inspect template bodies that have no live instance yet.
+func CompileTemplate(doc *policytext.Document, name string, args []string) ([]StmtRules, error) {
+	tmpl, ok := doc.Template(name)
+	if !ok {
+		return nil, policytext.ErrorList{perrf(0, "unknown template %q", name)}
+	}
+	if len(args) != len(tmpl.Params) {
+		return nil, policytext.ErrorList{perrf(tmpl.Line,
+			"template %q wants %d argument(s), got %d", name, len(tmpl.Params), len(args))}
+	}
+	subst := map[string]string{}
+	for i, p := range tmpl.Params {
+		subst["$"+p] = args[i]
+	}
+	var rss []policytext.RuleStmt
+	var errs policytext.ErrorList
+	for _, line := range tmpl.Body {
+		toks := make([]string, len(line.Tokens))
+		for i, t := range line.Tokens {
+			if v, isParam := subst[t]; isParam {
+				toks[i] = v
+			} else {
+				toks[i] = t
+			}
+		}
+		rs, err := policytext.ParseRuleStmt(toks, line.Line)
+		if err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		rs.PDP = tmpl.PDP
+		rss = append(rss, rs)
+	}
 	if len(errs) > 0 {
 		return nil, errs
 	}
-	return out, nil
+	stmts, errs := lowerStmts(doc, rss, InstanceKey(name, args))
+	if len(errs) > 0 {
+		return stmts, errs
+	}
+	return stmts, nil
+}
+
+// lowerStmts lowers each statement in order; the single place statements
+// become rules.
+func lowerStmts(doc *policytext.Document, rss []policytext.RuleStmt, tmplInstance string) ([]StmtRules, policytext.ErrorList) {
+	out := make([]StmtRules, len(rss))
+	var errs policytext.ErrorList
+	for i, rs := range rss {
+		crs, key, err := lowerStmt(doc, rs, tmplInstance)
+		if err != nil {
+			errs = append(errs, err)
+		}
+		out[i] = StmtRules{Stmt: rs, Template: tmplInstance, Key: key, Rules: crs}
+	}
+	return out, errs
 }
 
 // validateDecls checks every group declaration for unknown nested groups
@@ -119,30 +219,30 @@ func validateDecls(doc *policytext.Document) policytext.ErrorList {
 	return errs
 }
 
-// stmtKey is the content-based identity of a statement: editing one
-// statement never churns the identity (and therefore the installed rules)
-// of any other.
-func stmtKey(rs policytext.RuleStmt, tmplInstance string) string {
-	text := policytext.FormatStmt(rs)
+// stmtKey is the content-based identity of a statement with canonical
+// text stmtText: editing one statement never churns the identity (and
+// therefore the installed rules) of any other.
+func stmtKey(rs policytext.RuleStmt, stmtText, tmplInstance string) string {
 	if tmplInstance != "" {
-		return "tmpl|" + tmplInstance + "|" + rs.PDP + "|" + text
+		return "tmpl|" + tmplInstance + "|" + rs.PDP + "|" + stmtText
 	}
-	return "stmt|" + rs.PDP + "|" + text
+	return "stmt|" + rs.PDP + "|" + stmtText
 }
 
 // lowerStmt expands one statement into its rules (ignoring the window;
-// callers gate on Window.Active). The statement's cross product of source
-// and destination expansions is deduplicated by key.
-func lowerStmt(doc *policytext.Document, rs policytext.RuleStmt, tmplInstance string) ([]CompiledRule, *policytext.ParseError) {
-	sk := stmtKey(rs, tmplInstance)
+// callers gate on Window.Active) and returns them with the statement's
+// key. The statement's cross product of source and destination expansions
+// is deduplicated by key.
+func lowerStmt(doc *policytext.Document, rs policytext.RuleStmt, tmplInstance string) ([]CompiledRule, string, *policytext.ParseError) {
 	stmtText := policytext.FormatStmt(rs)
+	sk := stmtKey(rs, stmtText, tmplInstance)
 	srcs, err := expandRef(doc, rs.Src, "src", rs.Line)
 	if err != nil {
-		return nil, err
+		return nil, sk, err
 	}
 	dsts, err := expandRef(doc, rs.Dst, "dst", rs.Line)
 	if err != nil {
-		return nil, err
+		return nil, sk, err
 	}
 	var out []CompiledRule
 	seen := map[string]bool{}
@@ -170,7 +270,7 @@ func lowerStmt(doc *policytext.Document, rs policytext.RuleStmt, tmplInstance st
 			out = append(out, CompiledRule{Key: key, Rule: r, Prov: prov})
 		}
 	}
-	return out, nil
+	return out, sk, nil
 }
 
 func joinVia(a, b string) string {
@@ -226,6 +326,17 @@ func expandRef(doc *policytext.Document, ref policytext.EndpointRef, side string
 		})
 	}
 	return exps, nil
+}
+
+// GroupLeaves flattens a group declaration to its transitive literal
+// members. Unknown nested groups and membership cycles are errors, as in
+// Lower.
+func GroupLeaves(doc *policytext.Document, name string) ([]policytext.Member, error) {
+	leaves, err := groupLeaves(doc, name, nil, 0)
+	if err != nil {
+		return nil, policytext.ErrorList{err}
+	}
+	return leaves, nil
 }
 
 // groupLeaves flattens a group to its literal members, following nested

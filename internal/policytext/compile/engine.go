@@ -3,6 +3,7 @@ package compile
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -30,9 +31,12 @@ type Engine struct {
 	pm    *policy.Manager
 	sched simclock.Scheduler
 
-	mu        sync.Mutex
-	check     SourceCheck
-	doc       *policytext.Document
+	mu    sync.Mutex
+	check SourceCheck
+	// prog is the applied document, compiled. It is replaced, never
+	// mutated: Apply and Diff hand it out as the program a document
+	// replaces, and a membership change builds a new one copy-on-write.
+	prog      *Program
 	stmts     map[string]*runtimeStmt // by statement key
 	order     []string                // statement keys, document order
 	installed map[string]installedRule
@@ -43,9 +47,7 @@ type Engine struct {
 }
 
 type runtimeStmt struct {
-	key    string
-	rs     policytext.RuleStmt
-	tmpl   string // instance key, "" for document statements
+	StmtRules
 	deps   map[string]bool
 	active bool
 }
@@ -78,7 +80,7 @@ func NewEngine(pm *policy.Manager, sched simclock.Scheduler) *Engine {
 	return &Engine{
 		pm:        pm,
 		sched:     sched,
-		doc:       &policytext.Document{},
+		prog:      Compile(&policytext.Document{}),
 		stmts:     map[string]*runtimeStmt{},
 		installed: map[string]installedRule{},
 		byStmt:    map[string]map[string]bool{},
@@ -92,7 +94,7 @@ func NewEngine(pm *policy.Manager, sched simclock.Scheduler) *Engine {
 func (e *Engine) Source() string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return policytext.Format(e.doc)
+	return policytext.Format(e.prog.Doc)
 }
 
 // Compiled returns every installed lowered rule with provenance, sorted
@@ -124,64 +126,77 @@ func (e *Engine) Instances() []string {
 	return keys
 }
 
-// SourceCheck is a semantic gate run by SetSource after a document parses
-// but before any rule is touched. A non-nil error (typically a
+// SourceCheck is a semantic gate run by Apply on a compiled document
+// before any rule is touched. A non-nil error (typically a
 // policytext.ErrorList with per-finding lines) rejects the document
 // atomically, exactly like a compile error. The check must be a pure
-// function of the document: it runs outside the engine lock (so it may
+// function of the program: it runs outside the engine lock (so it may
 // safely call back into the engine) and therefore before the compile-time
 // checks that consult runtime state.
-type SourceCheck func(doc *policytext.Document) error
+type SourceCheck func(p *Program) error
 
-// SetCheck installs the semantic gate applied by SetSource. The system
-// wires the policy verifier here; Diff is deliberately ungated so dry runs
-// and diffs still compute deltas for documents the gate would reject.
+// SetCheck installs the semantic gate applied by Apply. The system wires
+// the policy verifier here; Diff is deliberately ungated so dry runs and
+// diffs still compute deltas for documents the gate would reject.
 func (e *Engine) SetCheck(check SourceCheck) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.check = check
 }
 
-// SetSource parses, validates and applies a full policy document
-// atomically: on any parse or compile error (returned as a
-// policytext.ErrorList) nothing is changed. On success only the delta
-// against the previous lowering is applied — unchanged rules keep their
-// IDs — and active template instances are re-instantiated against the new
-// document (instances whose template vanished or no longer compiles are
-// dropped).
+// SetSource parses, compiles and applies a full policy document; see
+// Apply.
 func (e *Engine) SetSource(src string) (Delta, error) {
+	doc, err := policytext.Parse(strings.NewReader(src))
+	if err != nil {
+		return Delta{}, err
+	}
+	d, _, err := e.Apply(Compile(doc))
+	return d, err
+}
+
+// Apply validates and applies a compiled document atomically and returns
+// the delta and the program it replaced: on any gate or compile error
+// (returned as a policytext.ErrorList) nothing is changed. On success only
+// the delta against the previous lowering is applied — unchanged rules
+// keep their IDs — and active template instances are re-instantiated
+// against the new document (instances whose template vanished or no
+// longer compiles are dropped). The engine keeps p as its document state.
+func (e *Engine) Apply(p *Program) (Delta, *Program, error) {
 	e.mu.Lock()
 	check := e.check
 	e.mu.Unlock()
 	if check != nil {
-		doc, err := policytext.Parse(strings.NewReader(src))
-		if err != nil {
-			return Delta{}, err
-		}
-		if err := check(doc); err != nil {
-			return Delta{}, err
+		if err := check(p); err != nil {
+			return Delta{}, nil, err
 		}
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	p, err := e.plan(src)
+	ps, err := e.plan(p)
 	if err != nil {
-		return Delta{}, err
+		return Delta{}, nil, err
 	}
-	return e.applyPlan(p)
+	prev := e.prog
+	d, err := e.applyPlan(ps)
+	if err != nil {
+		return Delta{}, nil, err
+	}
+	return d, prev, nil
 }
 
-// Diff compiles a proposed document and returns the delta applying it
-// would produce, without changing the policy. Inserted rules carry no IDs
-// (none are assigned); revoked rules carry the IDs that would be revoked.
-func (e *Engine) Diff(src string) (Delta, error) {
+// Diff returns the delta applying a compiled document would produce and
+// the program it would replace, without changing the policy. Inserted
+// rules carry no IDs (none are assigned); revoked rules carry the IDs that
+// would be revoked.
+func (e *Engine) Diff(p *Program) (Delta, *Program, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	p, err := e.plan(src)
+	ps, err := e.plan(p)
 	if err != nil {
-		return Delta{}, err
+		return Delta{}, nil, err
 	}
-	inserts, revokes := e.deltaLocked(e.documentWant(p))
+	inserts, revokes := e.deltaLocked(e.documentWant(ps))
 	var d Delta
 	for _, cr := range inserts {
 		d.Insert = append(d.Insert, cr.Rule)
@@ -190,76 +205,64 @@ func (e *Engine) Diff(src string) (Delta, error) {
 		d.Revoke = append(d.Revoke, e.installed[key].stored())
 	}
 	sortDelta(&d)
-	return d, nil
+	return d, e.prog, nil
 }
 
 // plannedState is a fully validated compilation of a proposed document.
 type plannedState struct {
-	doc       *policytext.Document
+	prog      *Program
 	stmts     map[string]*runtimeStmt
 	order     []string
 	rules     desired // the whole desired installed set
 	instances map[string]templateInstance
 }
 
-func (e *Engine) plan(src string) (*plannedState, error) {
-	doc, err := policytext.Parse(strings.NewReader(src))
-	if err != nil {
-		return nil, err
-	}
+// plan validates prog against the engine's runtime state and lays out the
+// statements and rules swapping onto it would install. It lowers nothing
+// of the document: every statement's rules come from prog.
+func (e *Engine) plan(prog *Program) (*plannedState, error) {
+	doc := prog.Doc
 	now := e.sched.Now()
-	var errs policytext.ErrorList
-	errs = append(errs, validateDecls(doc)...)
+	errs := append(policytext.ErrorList{}, prog.declErrs...)
 	for _, decl := range doc.PDPs {
 		if prio, ok := e.pm.PDPPriority(decl.Name); ok && prio != decl.Priority {
 			errs = append(errs, perrf(decl.Line,
 				"pdp %q already registered with priority %d (cannot change to %d)", decl.Name, prio, decl.Priority))
 		}
 	}
+	if errs = append(errs, prog.stmtErrs...); len(errs) > 0 {
+		return nil, errs
+	}
 	p := &plannedState{
-		doc:       doc,
+		prog:      prog,
 		stmts:     map[string]*runtimeStmt{},
 		rules:     desired{},
 		instances: map[string]templateInstance{},
 	}
-	addStmt := func(rs policytext.RuleStmt, tmpl string) *policytext.ParseError {
-		crs, err := lowerStmt(doc, rs, tmpl)
-		if err != nil {
-			return err
+	addStmt := func(st StmtRules) {
+		if _, dup := p.stmts[st.Key]; dup {
+			return // identical duplicate statement: unify
 		}
-		key := stmtKey(rs, tmpl)
-		if _, dup := p.stmts[key]; dup {
-			return nil // identical duplicate statement: unify
-		}
-		st := &runtimeStmt{key: key, rs: rs, tmpl: tmpl, deps: stmtDeps(doc, rs), active: rs.Window.Active(now)}
-		p.stmts[key] = st
-		p.order = append(p.order, key)
-		if st.active {
-			p.rules.set(key, crs)
-		}
-		return nil
-	}
-	for _, rs := range doc.Rules {
-		if err := addStmt(rs, ""); err != nil {
-			errs = append(errs, err)
+		rt := &runtimeStmt{StmtRules: st, deps: stmtDeps(doc, st.Stmt), active: st.Stmt.Window.Active(now)}
+		p.stmts[st.Key] = rt
+		p.order = append(p.order, st.Key)
+		if rt.active {
+			p.rules.set(st.Key, st.Rules)
 		}
 	}
-	if len(errs) > 0 {
-		return nil, errs
+	for _, st := range prog.Stmts {
+		addStmt(st)
 	}
 	// Re-instantiate retained template instances against the new document;
 	// instances that no longer fit are dropped rather than blocking apply.
 	for key, inst := range e.instances {
-		stmts, err := instantiateStmts(doc, inst.name, inst.args)
+		stmts, err := CompileTemplate(doc, inst.name, inst.args)
 		if err != nil {
 			continue
 		}
 		p.instances[key] = inst
-		for _, rs := range stmts {
-			if err := addStmt(rs, key); err != nil {
-				delete(p.instances, key)
-				break
-			}
+		for _, st := range stmts {
+			addStmt(st)
 		}
 	}
 	return p, nil
@@ -270,7 +273,7 @@ func (e *Engine) plan(src string) (*plannedState, error) {
 // and is additive; the apply only starts once every new PDP registered
 // cleanly.
 func (e *Engine) applyPlan(p *plannedState) (Delta, error) {
-	for _, decl := range p.doc.PDPs {
+	for _, decl := range p.prog.Doc.PDPs {
 		if _, ok := e.pm.PDPPriority(decl.Name); ok {
 			continue // same priority, verified by plan
 		}
@@ -282,7 +285,7 @@ func (e *Engine) applyPlan(p *plannedState) (Delta, error) {
 	if err != nil {
 		return Delta{}, err
 	}
-	e.doc = p.doc
+	e.prog = p.prog
 	e.stmts = p.stmts
 	e.order = p.order
 	e.instances = p.instances
@@ -435,85 +438,74 @@ func (e *Engine) changeMember(group, memberText string, add bool) (Delta, error)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	gi := -1
-	for i := range e.doc.Groups {
-		if e.doc.Groups[i].Name == group {
-			gi = i
-			break
-		}
-	}
+	old := e.prog.Doc
+	gi := slices.IndexFunc(old.Groups, func(g policytext.GroupDecl) bool { return g.Name == group })
 	if gi < 0 {
 		return Delta{}, policytext.ErrorList{perrf(0, "unknown group %q", group)}
 	}
-	g := &e.doc.Groups[gi]
+	members := old.Groups[gi].Members
 	id := member.String()
-	mi := -1
-	for i, m := range g.Members {
-		if m.String() == id {
-			mi = i
-			break
-		}
-	}
+	mi := slices.IndexFunc(members, func(m policytext.Member) bool { return m.String() == id })
 	if add == (mi >= 0) {
 		return Delta{}, nil // already present / already absent
 	}
-	saved := append([]policytext.Member(nil), g.Members...)
+	// Copy on write: the running program may be held by a caller.
+	doc := *old
+	doc.Groups = slices.Clone(old.Groups)
 	if add {
-		g.Members = append(g.Members, member)
+		doc.Groups[gi].Members = append(slices.Clip(members), member)
 	} else {
-		g.Members = append(g.Members[:mi:mi], g.Members[mi+1:]...)
+		doc.Groups[gi].Members = slices.Delete(slices.Clone(members), mi, mi+1)
 	}
 	// Adding a nested group reference can introduce unknown groups or
 	// cycles; validate before touching any rules.
 	if member.Group != "" {
-		if _, verr := groupLeaves(e.doc, group, nil, 0); verr != nil {
-			g.Members = saved
+		if _, verr := groupLeaves(&doc, group, nil, 0); verr != nil {
 			return Delta{}, policytext.ErrorList{verr}
 		}
 	}
-	d, aerr := e.recomputeDependents(map[string]bool{group: true})
-	if aerr != nil {
-		g.Members = saved
-		return Delta{}, aerr
-	}
-	return d, nil
+	return e.recomputeDependents(&doc, group)
 }
 
 // recomputeDependents re-lowers every statement whose dependency set
-// intersects changed and applies the combined delta as one apply. Lowering
-// of all affected statements is validated before any rule is touched, so a
-// bad membership change rejects cleanly.
-func (e *Engine) recomputeDependents(changed map[string]bool) (Delta, error) {
+// contains the changed group against doc, the running document with that
+// group's new membership, and applies the combined delta as one apply.
+// Lowering of all affected statements is validated before any rule is
+// touched, so a bad membership change rejects cleanly. On success the
+// engine swaps onto a new program over doc.
+func (e *Engine) recomputeDependents(doc *policytext.Document, changed string) (Delta, error) {
 	want := desired{}
-	var affected []*runtimeStmt
+	relowered := map[string][]CompiledRule{} // statement key -> new rules
 	for _, key := range e.order {
 		st := e.stmts[key]
-		hit := false
-		for g := range changed {
-			if st.deps[g] {
-				hit = true
-				break
-			}
-		}
-		if !hit {
+		if !st.deps[changed] {
 			continue
 		}
-		crs, err := lowerStmt(e.doc, st.rs, st.tmpl)
+		crs, _, err := lowerStmt(doc, st.Stmt, st.Template)
 		if err != nil {
 			return Delta{}, policytext.ErrorList{err}
 		}
-		affected = append(affected, st)
+		relowered[key] = crs
 		if !st.active {
 			crs = nil
 		}
-		want.set(st.key, crs)
+		want.set(key, crs)
 	}
 	d, err := e.commitLocked(obs.SpanContext{}, want)
 	if err != nil {
 		return Delta{}, err
 	}
-	for _, st := range affected {
-		st.deps = stmtDeps(e.doc, st.rs)
+	prog := &Program{Doc: doc, Stmts: slices.Clone(e.prog.Stmts)}
+	for i, st := range prog.Stmts {
+		if crs, ok := relowered[st.Key]; ok {
+			prog.Stmts[i].Rules = crs
+		}
+	}
+	e.prog = prog
+	for key, crs := range relowered {
+		st := e.stmts[key]
+		st.Rules = crs
+		st.deps = stmtDeps(doc, st.Stmt)
 	}
 	return d, nil
 }
@@ -536,7 +528,8 @@ func (e *Engine) Instantiate(sc obs.SpanContext, name string, args ...string) (D
 	if _, active := e.instances[key]; active {
 		return Delta{}, nil
 	}
-	stmts, err := instantiateStmts(e.doc, name, args)
+	doc := e.prog.Doc
+	stmts, err := CompileTemplate(doc, name, args)
 	if err != nil {
 		return Delta{}, policytext.AsErrorList(err)
 	}
@@ -544,30 +537,26 @@ func (e *Engine) Instantiate(sc obs.SpanContext, name string, args ...string) (D
 	want := desired{}
 	var added []*runtimeStmt
 	windowed := false
-	for _, rs := range stmts {
-		crs, lerr := lowerStmt(e.doc, rs, key)
-		if lerr != nil {
-			return Delta{}, policytext.ErrorList{lerr}
-		}
-		sk := stmtKey(rs, key)
-		if _, dup := want[sk]; dup {
+	for _, s := range stmts {
+		if _, dup := want[s.Key]; dup {
 			continue // identical duplicate line in the template body
 		}
-		st := &runtimeStmt{key: sk, rs: rs, tmpl: key, deps: stmtDeps(e.doc, rs), active: rs.Window.Active(now)}
+		st := &runtimeStmt{StmtRules: s, deps: stmtDeps(doc, s.Stmt), active: s.Stmt.Window.Active(now)}
 		added = append(added, st)
+		crs := st.Rules
 		if !st.active {
 			crs = nil
 		}
-		want.set(sk, crs)
-		windowed = windowed || !rs.Window.IsZero()
+		want.set(s.Key, crs)
+		windowed = windowed || !s.Stmt.Window.IsZero()
 	}
 	d, err := e.commitLocked(sc, want)
 	if err != nil {
 		return Delta{}, err
 	}
 	for _, st := range added {
-		e.stmts[st.key] = st
-		e.order = append(e.order, st.key)
+		e.stmts[st.Key] = st
+		e.order = append(e.order, st.Key)
 	}
 	e.instances[key] = templateInstance{name: name, args: args}
 	if windowed {
@@ -588,7 +577,7 @@ func (e *Engine) Retract(sc obs.SpanContext, name string, args ...string) (Delta
 	}
 	want := desired{}
 	for _, sk := range e.order {
-		if e.stmts[sk].tmpl == key {
+		if e.stmts[sk].Template == key {
 			want[sk] = nil
 		}
 	}
@@ -610,46 +599,6 @@ func (e *Engine) Retract(sc obs.SpanContext, name string, args ...string) (Delta
 	return d, nil
 }
 
-// instantiateStmts substitutes args into the template body and parses the
-// resulting rule statements.
-func instantiateStmts(doc *policytext.Document, name string, args []string) ([]policytext.RuleStmt, error) {
-	tmpl, ok := doc.Template(name)
-	if !ok {
-		return nil, policytext.ErrorList{perrf(0, "unknown template %q", name)}
-	}
-	if len(args) != len(tmpl.Params) {
-		return nil, policytext.ErrorList{perrf(tmpl.Line,
-			"template %q wants %d argument(s), got %d", name, len(tmpl.Params), len(args))}
-	}
-	subst := map[string]string{}
-	for i, p := range tmpl.Params {
-		subst["$"+p] = args[i]
-	}
-	var out []policytext.RuleStmt
-	var errs policytext.ErrorList
-	for _, line := range tmpl.Body {
-		toks := make([]string, len(line.Tokens))
-		for i, t := range line.Tokens {
-			if v, isParam := subst[t]; isParam {
-				toks[i] = v
-			} else {
-				toks[i] = t
-			}
-		}
-		rs, err := policytext.ParseRuleStmt(toks, line.Line)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		rs.PDP = tmpl.PDP
-		out = append(out, rs)
-	}
-	if len(errs) > 0 {
-		return nil, errs
-	}
-	return out, nil
-}
-
 // rearmTimerLocked points a single scheduler timer at the earliest
 // upcoming window transition across all statements. A generation counter
 // invalidates timers from superseded arrangements.
@@ -663,10 +612,10 @@ func (e *Engine) rearmTimerLocked() {
 	var next time.Time
 	for _, sk := range e.order {
 		st := e.stmts[sk]
-		if st.rs.Window.IsZero() {
+		if st.Stmt.Window.IsZero() {
 			continue
 		}
-		at, ok := st.rs.Window.NextTransition(now)
+		at, ok := st.Stmt.Window.NextTransition(now)
 		if ok && (next.IsZero() || at.Before(next)) {
 			next = at
 		}
@@ -693,17 +642,12 @@ func (e *Engine) onWindowTimer(gen uint64) {
 	var flipped []*runtimeStmt
 	for _, sk := range e.order {
 		st := e.stmts[sk]
-		if st.rs.Window.IsZero() || st.rs.Window.Active(now) == st.active {
+		if st.Stmt.Window.IsZero() || st.Stmt.Window.Active(now) == st.active {
 			continue
 		}
 		var crs []CompiledRule
 		if !st.active {
-			var err *policytext.ParseError
-			if crs, err = lowerStmt(e.doc, st.rs, st.tmpl); err != nil {
-				// Unreachable: document and group edits re-validate every
-				// statement. If not, it stays inactive rather than partial.
-				continue
-			}
+			crs = st.Rules
 		}
 		want.set(sk, crs)
 		flipped = append(flipped, st)

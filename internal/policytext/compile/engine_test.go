@@ -10,6 +10,7 @@ import (
 
 	"github.com/dfi-sdn/dfi/internal/core/policy"
 	"github.com/dfi-sdn/dfi/internal/obs"
+	"github.com/dfi-sdn/dfi/internal/policytext"
 	"github.com/dfi-sdn/dfi/internal/simclock"
 )
 
@@ -111,7 +112,7 @@ func TestDiffDoesNotApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	epoch := pm.Epoch()
-	d, err := eng.Diff(engineDoc + "\ndeny to ip 10.0.0.66\n")
+	d, _, err := eng.Diff(Compile(mustParse(t, engineDoc+"\ndeny to ip 10.0.0.66\n")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestDiffDoesNotApply(t *testing.T) {
 	}
 	// Diff of a removal reports the installed ID being revoked.
 	smaller := strings.Replace(engineDoc, "deny from host lobby-kiosk\n", "", 1)
-	d, err = eng.Diff(smaller)
+	d, _, err = eng.Diff(Compile(mustParse(t, smaller)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,5 +515,96 @@ func TestConcurrentChurnAndQuery(t *testing.T) {
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("post-churn state diverged\ngot:\n%s\nwant:\n%s",
 			strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// programText renders everything a program holds, for before/after
+// comparison.
+func programText(p *Program) string {
+	var b strings.Builder
+	b.WriteString(policytext.Format(p.Doc))
+	for _, st := range p.Stmts {
+		fmt.Fprintf(&b, "%s:", st.Key)
+		for _, cr := range st.Rules {
+			fmt.Fprintf(&b, " %s", cr.Key)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestMembershipChangeCopiesOnWrite: a program the engine applied, or
+// handed back as the one a document replaced, never changes afterwards,
+// while membership changes and applies race on the engine; run under
+// -race, which also catches any write to a shared program.
+func TestMembershipChangeCopiesOnWrite(t *testing.T) {
+	eng, _ := newEngine(t)
+	applied := Compile(mustParse(t, engineDoc))
+	if _, _, err := eng.Apply(applied); err != nil {
+		t.Fatal(err)
+	}
+	want := programText(applied)
+	if _, err := eng.AddMember("eng", "user carol"); err != nil {
+		t.Fatal(err)
+	}
+	_, running, err := eng.Diff(applied)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if running == applied || !strings.Contains(programText(running), "carol") {
+		t.Fatal("membership change did not replace the running program")
+	}
+	runningText := programText(running)
+
+	other := Compile(mustParse(t, engineDoc+"allow from group eng to host wiki\n"))
+	const iters = 100
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			m := fmt.Sprintf("user churn%d", i%4)
+			if _, err := eng.AddMember("eng", m); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := eng.RemoveMember("servers", "host db"); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := eng.AddMember("servers", "host db"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			next := applied
+			if i%2 == 0 {
+				next = other
+			}
+			if _, _, err := eng.Apply(next); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			if programText(applied) != want || programText(running) != runningText {
+				t.Error("a handed-out program changed")
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if programText(applied) != want {
+		t.Fatalf("applied program changed:\n%s\nwant:\n%s", programText(applied), want)
+	}
+	if programText(running) != runningText {
+		t.Fatalf("replaced program changed:\n%s\nwant:\n%s", programText(running), runningText)
 	}
 }

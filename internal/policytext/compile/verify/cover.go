@@ -114,23 +114,33 @@ type vrule struct {
 	key    tupleKey
 }
 
-// lowerAll expands every statement window-ungated, plus every template
-// body instantiated with placeholder arguments ($param stays a literal
-// value), so template rules participate in coverage analysis before any
-// instance exists. Statements and templates that fail to lower are
-// skipped: Lower owns reporting those as compile errors.
-func lowerAll(doc *policytext.Document, wc *windowCache) []*vrule {
-	prio := map[string]int{}
+// placeholderStmts lowers every template body with placeholder arguments
+// ($param stays a literal value), so template rules participate in
+// analysis before any instance exists. Templates whose parameter
+// positions cannot hold a placeholder are skipped, and so are body
+// statements that fail to lower: compile owns reporting those as errors.
+func placeholderStmts(doc *policytext.Document) []compile.StmtRules {
+	var out []compile.StmtRules
+	for _, t := range doc.Templates {
+		args := make([]string, len(t.Params))
+		for i, p := range t.Params {
+			args[i] = "$" + p
+		}
+		stmts, _ := compile.CompileTemplate(doc, t.Name, args)
+		out = append(out, stmts...)
+	}
+	return out
+}
+
+// appendRules appends the analysis rules of doc's statements stmts, each
+// at its pdp's priority.
+func appendRules(out []*vrule, doc *policytext.Document, stmts []compile.StmtRules, wc *windowCache) []*vrule {
+	prio := make(map[string]int, len(doc.PDPs))
 	for _, p := range doc.PDPs {
 		prio[p.Name] = p.Priority
 	}
-	var out []*vrule
-	add := func(rs policytext.RuleStmt, tmpl string) {
-		crs, err := compile.LowerStmt(doc, rs, tmpl)
-		if err != nil {
-			return
-		}
-		for _, cr := range crs {
+	for _, st := range stmts {
+		for _, cr := range st.Rules {
 			r := cr.Rule
 			r.Priority = prio[r.PDP]
 			v := &vrule{
@@ -139,33 +149,21 @@ func lowerAll(doc *policytext.Document, wc *windowCache) []*vrule {
 				prio:   r.Priority,
 				line:   cr.Prov.Line,
 				stmt:   cr.Prov.Stmt,
-				tmpl:   tmpl,
+				tmpl:   st.Template,
 				via:    cr.Prov.Via,
-				window: rs.Window,
-				bits:   wc.get(rs.Window),
+				window: st.Stmt.Window,
+				bits:   wc.get(st.Stmt.Window),
 			}
 			v.mask, v.key = ruleKey(&v.rule)
 			out = append(out, v)
 		}
 	}
-	for _, rs := range doc.Rules {
-		add(rs, "")
-	}
-	for _, t := range doc.Templates {
-		args := make([]string, len(t.Params))
-		for i, p := range t.Params {
-			args[i] = "$" + p
-		}
-		stmts, err := compile.InstantiateTemplate(doc, t.Name, args)
-		if err != nil {
-			continue // parameter position incompatible with placeholders
-		}
-		tag := compile.InstanceKey(t.Name, args)
-		for _, rs := range stmts {
-			add(rs, tag)
-		}
-	}
 	return out
+}
+
+// docRules builds the analysis rules of a program's document statements.
+func docRules(p *compile.Program, wc *windowCache) []*vrule {
+	return appendRules(nil, p.Doc, p.Stmts, wc)
 }
 
 // covererIndex groups rules by (mask, key) so finding every rule whose
@@ -199,7 +197,7 @@ func (ix *covererIndex) coverersOf(v *vrule) []*vrule {
 		if !m.subsetOf(v.mask) {
 			continue
 		}
-		k, ok := project(&v.rule, m)
+		k, ok := project(v.mask, v.key, m)
 		if !ok {
 			continue
 		}
@@ -342,11 +340,12 @@ func redundantFinding(b *vrule, equalSame []*vrule) (Finding, bool) {
 // analysis: windows that never activate (unconstructible from text, but
 // documents can be built programmatically) and windows that constrain
 // nothing.
-func windows(doc *policytext.Document, wc *windowCache) []Finding {
+func windows(stmts []compile.StmtRules, wc *windowCache) []Finding {
 	var fs []Finding
-	check := func(rs policytext.RuleStmt, tmpl string) {
+	for _, st := range stmts {
+		rs, tmpl := st.Stmt, st.Template
 		if rs.Window.IsZero() {
-			return
+			continue
 		}
 		b := wc.get(rs.Window)
 		switch {
@@ -362,23 +361,6 @@ func windows(doc *policytext.Document, wc *windowCache) []Finding {
 				Stmt: policytext.FormatStmt(rs), Template: tmpl,
 				Message: fmt.Sprintf("temporal clause %q has no effect: the window spans the entire week", rs.Window),
 			})
-		}
-	}
-	for _, rs := range doc.Rules {
-		check(rs, "")
-	}
-	for _, t := range doc.Templates {
-		args := make([]string, len(t.Params))
-		for i, p := range t.Params {
-			args[i] = "$" + p
-		}
-		stmts, err := compile.InstantiateTemplate(doc, t.Name, args)
-		if err != nil {
-			continue
-		}
-		tag := compile.InstanceKey(t.Name, args)
-		for _, rs := range stmts {
-			check(rs, tag)
 		}
 	}
 	return fs

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/dfi-sdn/dfi/internal/policytext"
+	"github.com/dfi-sdn/dfi/internal/policytext/compile"
 )
 
 // FuzzLowerVerify: any document that parses must verify without panicking,
@@ -48,7 +49,8 @@ func FuzzLowerVerify(f *testing.F) {
 				t.Fatalf("findings unsorted: %+v", fs)
 			}
 		}
-		if ws := VerifyTransition(doc, doc); len(ws) != 0 {
+		p := compile.Compile(doc)
+		if ws := VerifyTransition(p, p); len(ws) != 0 {
 			t.Fatalf("self-transition widened: %+v", ws)
 		}
 	})

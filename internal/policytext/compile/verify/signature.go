@@ -133,16 +133,16 @@ func (m fieldMask) subsetOf(o fieldMask) bool {
 	return m&^o == 0
 }
 
-// project returns r's values restricted to the fields in onto, reporting
-// false when r does not constrain every field of onto. A true result equal
-// to another rule's key over the same mask means that rule matches every
-// flow r matches (field-wise containment).
-func project(r *policy.Rule, onto fieldMask) (tupleKey, bool) {
-	m, k := ruleKey(r)
+// project returns the values of a rule with signature (m, k) restricted
+// to the fields in onto, reporting false when the rule does not constrain
+// every field of onto. A true result equal to another rule's key over the
+// same mask means that rule matches every flow this one matches
+// (field-wise containment).
+func project(m fieldMask, k tupleKey, onto fieldMask) (tupleKey, bool) {
 	if !onto.subsetOf(m) {
 		return tupleKey{}, false
 	}
-	// Zero the slots r constrains beyond onto so the projected key compares
+	// Zero the slots the rule constrains beyond onto so the projected key compares
 	// equal to keys built from rules constraining exactly the onto fields.
 	if m&maskEtherType != 0 && onto&maskEtherType == 0 {
 		k.etherType = 0

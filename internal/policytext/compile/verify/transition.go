@@ -6,6 +6,7 @@ import (
 
 	"github.com/dfi-sdn/dfi/internal/core/policy"
 	"github.com/dfi-sdn/dfi/internal/policytext"
+	"github.com/dfi-sdn/dfi/internal/policytext/compile"
 )
 
 // Widening is one unit of allow-set growth between two policy epochs:
@@ -19,20 +20,39 @@ type Widening struct {
 	// Rule is the specific lowered rule whose reachability is new.
 	Rule string `json:"rule"`
 	// PrevLine points at the previous document's deny that used to block
-	// these flows, 0 when the flows were simply never allowed before.
+	// these flows (its line in that document as applied), 0 when the flows
+	// were simply never allowed before.
 	PrevLine int    `json:"prevLine,omitempty"`
 	Message  string `json:"message"`
 }
 
 // VerifyTransition computes the allow-set widening from prev to next:
-// every lowered allow in next that grants reachability prev did not.
-// Template bodies are excluded — they widen nothing until instantiated.
-// Results are sorted by line, then rule text.
-func VerifyTransition(prev, next *policytext.Document) []Widening {
+// every lowered allow in next that grants reachability prev did not. It
+// reads both programs' lowerings and lowers nothing. Template bodies are
+// excluded — they widen nothing until instantiated. Results are sorted by
+// line, then rule text.
+func VerifyTransition(prev, next *compile.Program) []Widening {
 	wc := newWindowCache()
-	prevRules := docRules(lowerAll(prev, wc))
-	nextRules := docRules(lowerAll(next, wc))
+	nextRules := docRules(next, wc)
+	nextDenies := buildIndex(denies(nextRules))
+	// A deny of next with d's exact match set, at a priority that still
+	// beats n, over at least d's window, still blocks what d blocked.
+	return widen(docRules(prev, wc), nextRules, func(d, n *vrule) bool {
+		for _, d2 := range nextDenies.byMask[d.mask][d.key] {
+			if d2.prio >= n.prio && d2.bits.contains(d.bits) {
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// widen is VerifyTransition over analysis rules. stillDenied(d, n) reports
+// whether the next document still blocks what previous deny d blocked of
+// widening allow n.
+func widen(prevRules, nextRules []*vrule, stillDenied func(d, n *vrule) bool) []Widening {
 	ix := buildIndex(prevRules)
+	prevDenies := denies(prevRules)
 
 	var out []Widening
 	for _, n := range nextRules {
@@ -64,14 +84,14 @@ func VerifyTransition(prev, next *policytext.Document) []Widening {
 		// The flows were allowed — unless a previous deny outranked the
 		// covering allows (deny wins ties). A deny that merely overlaps n
 		// still blocked part of n's match set, so any overlap counts.
-		for _, d := range prevRules {
-			if d.action != policy.ActionDeny || d.prio < effPrio {
+		for _, d := range prevDenies {
+			if d.prio < effPrio {
 				continue
 			}
 			if !d.rule.Overlaps(&n.rule) || !d.bits.intersects(n.bits) {
 				continue
 			}
-			if deniedInNext(nextRules, d, n) {
+			if stillDenied(d, n) {
 				continue
 			}
 			out = append(out, Widening{
@@ -94,28 +114,12 @@ func VerifyTransition(prev, next *policytext.Document) []Widening {
 	return out
 }
 
-// docRules filters out template-placeholder rules.
-func docRules(rules []*vrule) []*vrule {
-	out := rules[:0]
+func denies(rules []*vrule) []*vrule {
+	var out []*vrule
 	for _, v := range rules {
-		if v.tmpl == "" {
+		if v.action == policy.ActionDeny {
 			out = append(out, v)
 		}
 	}
 	return out
-}
-
-// deniedInNext reports whether the next document still carries a deny
-// with prev-deny d's exact match set, at a priority that still beats the
-// widening allow n, over at least d's window.
-func deniedInNext(nextRules []*vrule, d, n *vrule) bool {
-	for _, d2 := range nextRules {
-		if d2.action != policy.ActionDeny || d2.prio < n.prio {
-			continue
-		}
-		if d2.mask == d.mask && d2.key == d.key && d2.bits.contains(d.bits) {
-			return true
-		}
-	}
-	return false
 }

@@ -1,13 +1,13 @@
 // Package verify is the static semantic analyzer for policytext documents:
-// the policy-level counterpart of dfilint. It runs over the window-ungated
-// lowering of every statement (compile.LowerStmt) plus template bodies
-// instantiated with placeholder arguments, and reasons about match-set
-// containment with rule signatures (signature.go): with exact-value
-// fields only, rule A matches everything rule B matches iff A constrains a
-// subset of B's fields and B's values projected onto that subset equal
-// A's key. Temporal windows are compared as minute-granular
-// week bitmaps, so a rule counts as shadowed only when the union of its
-// coverers' windows contains its own.
+// the policy-level counterpart of dfilint. It runs over a compiled
+// document (compile.Program: the window-ungated lowering of every
+// statement) plus template bodies instantiated with placeholder arguments,
+// and reasons about match-set containment with rule signatures
+// (signature.go): with exact-value fields only, rule A matches everything
+// rule B matches iff A constrains a subset of B's fields and B's values
+// projected onto that subset equal A's key. Temporal windows are compared
+// as minute-granular week bitmaps, so a rule counts as shadowed only when
+// the union of its coverers' windows contains its own.
 //
 // Checks (Finding.Check):
 //
@@ -24,19 +24,21 @@
 //	structural — empty groups, unused groups/roles, unused template
 //	             parameters.
 //
-// Engine.SetSource runs Check as its gate: error findings reject the
-// document atomically with per-finding source lines; warnings annotate
-// apply/diff responses and dfictl output.
+// Engine.Apply runs Gate as its check: error findings reject the document
+// atomically with per-finding source lines; warnings annotate apply/diff
+// responses and dfictl output.
 package verify
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/dfi-sdn/dfi/internal/policytext"
+	"github.com/dfi-sdn/dfi/internal/policytext/compile"
 )
 
-// Severity classifies a finding: error blocks SetSource, warn annotates.
+// Severity classifies a finding: error blocks Engine.Apply, warn annotates.
 type Severity string
 
 const (
@@ -81,26 +83,36 @@ func (f Finding) String() string {
 	return fmt.Sprintf("line %d: [%s] %s: %s", f.Line, f.Check, f.Severity, f.Message)
 }
 
-// Document analyzes a parsed document and returns its findings sorted by
-// line, then check, then counterpart line. Statements that fail to lower
-// (unknown groups, cycles) contribute no findings: those are compile
-// errors and Lower reports them.
+// Document analyzes a parsed document; see Findings.
 func Document(doc *policytext.Document) []Finding {
+	return Findings(compile.Compile(doc))
+}
+
+// Findings analyzes a compiled document and returns its findings sorted
+// by line, then check, then counterpart line. Statements that failed to
+// lower (unknown groups, cycles) contribute no findings: those are compile
+// errors and Program.Err reports them.
+func Findings(p *compile.Program) []Finding {
 	wc := newWindowCache()
-	rules := lowerAll(doc, wc)
+	stmts := append(slices.Clip(p.Stmts), placeholderStmts(p.Doc)...)
 	var fs []Finding
-	fs = append(fs, coverage(rules)...)
-	fs = append(fs, windows(doc, wc)...)
-	fs = append(fs, structural(doc)...)
+	fs = append(fs, coverage(appendRules(nil, p.Doc, stmts, wc))...)
+	fs = append(fs, windows(stmts, wc)...)
+	fs = append(fs, structural(p.Doc)...)
 	return dedupe(fs)
 }
 
-// Check is the Engine.SetSource gate: it returns a policytext.ErrorList
+// Check gates a parsed document; see Gate.
+func Check(doc *policytext.Document) error {
+	return Gate(compile.Compile(doc))
+}
+
+// Gate is the Engine.SetCheck hook: it returns a policytext.ErrorList
 // carrying one entry per error-severity finding (warnings pass), or nil.
 // The entry lines flow into the admin API's 422 envelope unchanged.
-func Check(doc *policytext.Document) error {
+func Gate(p *compile.Program) error {
 	var errs policytext.ErrorList
-	for _, f := range Document(doc) {
+	for _, f := range Findings(p) {
 		if f.Severity != SevError {
 			continue
 		}

@@ -22,6 +22,11 @@ func mustParse(t *testing.T, src string) *policytext.Document {
 	return doc
 }
 
+func mustCompile(t *testing.T, src string) *compile.Program {
+	t.Helper()
+	return compile.Compile(mustParse(t, src))
+}
+
 func readCorpus(t *testing.T, name string) string {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("testdata", "bad", name))
@@ -251,7 +256,7 @@ func TestNeverActiveWindow(t *testing.T) {
 func TestCheckGatesSetSource(t *testing.T) {
 	pm := policy.NewManager()
 	eng := compile.NewEngine(pm, nil)
-	eng.SetCheck(Check)
+	eng.SetCheck(Gate)
 
 	bad := readCorpus(t, "shadow.pol")
 	if _, err := eng.SetSource(bad); err == nil {
