@@ -95,9 +95,12 @@ func isDryRun(r *http.Request) bool {
 }
 
 // putPolicy applies the request's document or, for a dry run or diff,
-// computes the delta applying it would produce. The body is parsed and
-// compiled once; the response is annotated from that program and the one
-// the engine replaced (or would replace), read under the engine's lock.
+// computes the delta applying it would produce. The body is parsed once
+// and compiled against the running program, so only the statements it
+// changes are lowered; the response is annotated from that program and the
+// one the engine replaced (or would replace), read under the engine's
+// lock. A real apply reports the findings its gate computed; a dry run or
+// diff, which has no gate, computes them here.
 func putPolicy(w http.ResponseWriter, r *http.Request, eng *compile.Engine, dry bool) {
 	var j PolicyDocJSON
 	if err := json.NewDecoder(r.Body).Decode(&j); err != nil {
@@ -109,18 +112,25 @@ func putPolicy(w http.ResponseWriter, r *http.Request, eng *compile.Engine, dry 
 		httpPolicyError(w, err)
 		return
 	}
-	next := compile.Compile(doc)
-	apply := eng.Apply
+	next := eng.Compile(doc)
+	var (
+		d        compile.Delta
+		prev     *compile.Program
+		findings []verify.Finding
+	)
 	if dry {
-		apply = eng.Diff
+		if d, prev, err = eng.Diff(next); err == nil {
+			findings = verify.Findings(next)
+		}
+	} else {
+		d, prev, findings, err = eng.Apply(next)
 	}
-	d, prev, err := apply(next)
 	if err != nil {
 		httpPolicyError(w, err)
 		return
 	}
 	out := fromDelta(d, dry)
-	out.Findings = verify.Findings(next)
+	out.Findings = findings
 	out.Widening = verify.VerifyTransition(prev, next)
 	writeJSON(w, http.StatusOK, out)
 }

@@ -179,7 +179,7 @@ func TestPolicyPutWidensAgainstReplacedDocument(t *testing.T) {
 		t.Fatalf("PUT base = %d: %s", code, body)
 	}
 	var interleaved atomic.Bool
-	eng.SetCheck(func(p *compile.Program) error {
+	eng.SetCheck(func(p *compile.Program) ([]verify.Finding, error) {
 		if interleaved.CompareAndSwap(false, true) {
 			if _, err := eng.SetSource(between); err != nil {
 				t.Error(err)

@@ -144,7 +144,7 @@ func batchApply(t testing.TB, rng *rand.Rand, pm *policy.Manager, live []policy.
 		revokes = append(revokes, live[i])
 		live = append(live[:i], live[i+1:]...)
 	}
-	ids, err := pm.ApplyCtx(obs.SpanContext{}, inserts, revokes)
+	ids, _, err := pm.ApplyCtx(obs.SpanContext{}, inserts, revokes)
 	if err != nil {
 		t.Fatal(err)
 	}

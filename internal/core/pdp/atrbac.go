@@ -102,7 +102,7 @@ func (a *ATRBAC) Start(b *bus.Bus) error {
 			}
 		}
 	}
-	ids, err := a.pm.ApplyCtx(obs.SpanContext{}, rules, nil)
+	ids, _, err := a.pm.ApplyCtx(obs.SpanContext{}, rules, nil)
 	if err != nil {
 		return fmt.Errorf("at-rbac baseline: %w", err)
 	}
@@ -147,7 +147,7 @@ func (a *ATRBAC) Stop() {
 		ids = append(ids, id)
 	}
 	// Only a concurrent revoke of one of these ids can fail the apply.
-	_, _ = a.pm.ApplyCtx(obs.SpanContext{}, nil, held(a.pm, ids))
+	_, _, _ = a.pm.ApplyCtx(obs.SpanContext{}, nil, held(a.pm, ids))
 	a.pairRules = make(map[pairKey]policy.RuleID)
 	a.baseline = nil
 	a.users = make(map[string]map[string]struct{})
@@ -225,7 +225,7 @@ func (a *ATRBAC) grantLocked(host string) {
 		}
 	}
 	// The PDP registered itself, so the apply cannot be rejected.
-	ids, err := a.pm.ApplyCtx(obs.SpanContext{}, rules, nil)
+	ids, _, err := a.pm.ApplyCtx(obs.SpanContext{}, rules, nil)
 	if err != nil {
 		return
 	}
@@ -246,5 +246,5 @@ func (a *ATRBAC) revokeLocked(host string) {
 		}
 	}
 	// Only a concurrent revoke of one of these ids can fail the apply.
-	_, _ = a.pm.ApplyCtx(obs.SpanContext{}, nil, held(a.pm, ids))
+	_, _, _ = a.pm.ApplyCtx(obs.SpanContext{}, nil, held(a.pm, ids))
 }

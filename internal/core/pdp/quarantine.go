@@ -92,7 +92,7 @@ func (q *Quarantine) IsolateCtx(sc obs.SpanContext, host string) error {
 		{PDP: q.name, Action: policy.ActionDeny, Src: policy.EndpointSpec{Host: host}},
 		{PDP: q.name, Action: policy.ActionDeny, Dst: policy.EndpointSpec{Host: host}},
 	}
-	ids, err := q.pm.ApplyCtx(sc, rules, nil)
+	ids, _, err := q.pm.ApplyCtx(sc, rules, nil)
 	if err != nil {
 		return fmt.Errorf("quarantine %q: %w", host, err)
 	}
@@ -113,7 +113,7 @@ func (q *Quarantine) ReleaseCtx(sc obs.SpanContext, host string) error {
 	if !ok {
 		return nil
 	}
-	if _, err := q.pm.ApplyCtx(sc, nil, held(q.pm, ids)); err != nil {
+	if _, _, err := q.pm.ApplyCtx(sc, nil, held(q.pm, ids)); err != nil {
 		return fmt.Errorf("release %q: %w", host, err)
 	}
 	delete(q.byHost, host)

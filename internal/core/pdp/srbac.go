@@ -36,7 +36,7 @@ func (s *SRBAC) Name() string { return s.name }
 // inserted.
 func (s *SRBAC) Install() (int, error) {
 	rules := s.compile()
-	ids, err := s.pm.ApplyCtx(obs.SpanContext{}, rules, nil)
+	ids, _, err := s.pm.ApplyCtx(obs.SpanContext{}, rules, nil)
 	if err != nil {
 		return 0, fmt.Errorf("s-rbac: %w", err)
 	}
@@ -47,7 +47,7 @@ func (s *SRBAC) Install() (int, error) {
 // Uninstall revokes the static policy.
 func (s *SRBAC) Uninstall() {
 	// Only a concurrent revoke can fail the apply; a later call retries.
-	if _, err := s.pm.ApplyCtx(obs.SpanContext{}, nil, held(s.pm, s.ids)); err == nil {
+	if _, _, err := s.pm.ApplyCtx(obs.SpanContext{}, nil, held(s.pm, s.ids)); err == nil {
 		s.ids = nil
 	}
 }

@@ -187,7 +187,7 @@ func (m *Manager) RegisterPDP(name string, priority int) error {
 // Insert stores one rule from a PDP and returns its assigned id: an
 // untraced ApplyCtx with a single insert.
 func (m *Manager) Insert(r Rule) (RuleID, error) {
-	ids, err := m.ApplyCtx(obs.SpanContext{}, []Rule{r}, nil)
+	ids, _, err := m.ApplyCtx(obs.SpanContext{}, []Rule{r}, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -197,15 +197,18 @@ func (m *Manager) Insert(r Rule) (RuleID, error) {
 // Revoke removes one rule and flushes its derived flow rules: an untraced
 // ApplyCtx with a single revoke.
 func (m *Manager) Revoke(id RuleID) error {
-	_, err := m.ApplyCtx(obs.SpanContext{}, nil, []RuleID{id})
+	_, _, err := m.ApplyCtx(obs.SpanContext{}, nil, []RuleID{id})
 	return err
 }
 
 // ApplyCtx is the Policy Manager's one mutation: it revokes the rules named
 // by revokes and stores inserts, stamping each with an id and its PDP's
-// priority, and returns the new ids in insert order. An insert from an
-// unregistered PDP or a revoke of an unknown id rejects the whole call
-// before anything changes; an empty call changes nothing either.
+// priority, and returns the new ids in insert order with the epoch of the
+// snapshot it published. An insert from an unregistered PDP or a revoke of
+// an unknown id rejects the whole call before anything changes; an empty
+// call changes nothing either and returns epoch 0. The epoch is the one
+// this call published: by the time the caller reads Epoch, another
+// mutation may have published a later one.
 //
 // An accepted call publishes one snapshot (one epoch) and, after
 // unlocking, calls the FlushFunc once with the sorted, duplicate-free
@@ -216,9 +219,9 @@ func (m *Manager) Revoke(id RuleID) error {
 // insert is an Allow, as the implicit catch-all is the lowest-priority
 // Deny. The ("policy","apply") span parents under sc and is committed
 // after the flush, so it measures time-to-enforcement.
-func (m *Manager) ApplyCtx(sc obs.SpanContext, inserts []Rule, revokes []RuleID) ([]RuleID, error) {
+func (m *Manager) ApplyCtx(sc obs.SpanContext, inserts []Rule, revokes []RuleID) ([]RuleID, uint64, error) {
 	if len(inserts) == 0 && len(revokes) == 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
 	span := m.spans.Child(sc)
 	start := m.spans.Now()
@@ -228,13 +231,13 @@ func (m *Manager) ApplyCtx(sc obs.SpanContext, inserts []Rule, revokes []RuleID)
 	for i := range inserts {
 		if _, ok := m.pdps[inserts[i].PDP]; !ok {
 			m.mu.Unlock()
-			return nil, fmt.Errorf("%w: %q", ErrUnknownPDP, inserts[i].PDP)
+			return nil, 0, fmt.Errorf("%w: %q", ErrUnknownPDP, inserts[i].PDP)
 		}
 	}
 	for _, id := range revokes {
 		if _, ok := m.rules[id]; !ok {
 			m.mu.Unlock()
-			return nil, fmt.Errorf("%w: %d", ErrUnknownRule, id)
+			return nil, 0, fmt.Errorf("%w: %d", ErrUnknownRule, id)
 		}
 	}
 
@@ -275,7 +278,8 @@ func (m *Manager) ApplyCtx(sc obs.SpanContext, inserts []Rule, revokes []RuleID)
 	// The new epoch is visible before the flush, so no cache entry keyed on
 	// the old one validates once derived flow rules are being removed.
 	m.epoch++
-	m.snap.Store(buildSnapshot(m.epoch, m.rules))
+	epoch := m.epoch
+	m.snap.Store(buildSnapshot(epoch, m.rules))
 	m.snapshotRebuilds.Inc()
 	fn := m.onFlush
 	m.mu.Unlock()
@@ -314,7 +318,7 @@ func (m *Manager) ApplyCtx(sc obs.SpanContext, inserts []Rule, revokes []RuleID)
 	for _, r := range revoked {
 		m.auditMutation(span, "revoke", r)
 	}
-	return ids, nil
+	return ids, epoch, nil
 }
 
 // auditMutation appends one kind="policy" record for a changed rule; a

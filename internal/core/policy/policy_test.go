@@ -334,7 +334,7 @@ func TestRevokeAll(t *testing.T) {
 	var flushes [][]RuleID
 	m.SetFlushFunc(func(_ obs.SpanContext, ids []RuleID) { flushes = append(flushes, ids) })
 	revokes := []RuleID{low[3], low[0], low[4], low[1], low[2], low[3]}
-	if _, err := m.ApplyCtx(obs.SpanContext{}, nil, revokes); err != nil {
+	if _, _, err := m.ApplyCtx(obs.SpanContext{}, nil, revokes); err != nil {
 		t.Fatal(err)
 	}
 	if m.Len() != 1 {

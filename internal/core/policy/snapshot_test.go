@@ -229,8 +229,8 @@ func TestEpochSemantics(t *testing.T) {
 	if e := m.Epoch(); e != 2 {
 		t.Fatalf("failed revoke bumped the epoch to %d", e)
 	}
-	if _, err := m.ApplyCtx(obs.SpanContext{}, nil, nil); err != nil {
-		t.Fatal(err)
+	if _, epoch, err := m.ApplyCtx(obs.SpanContext{}, nil, nil); err != nil || epoch != 0 {
+		t.Fatalf("empty apply: epoch %d, err %v, want 0 and none", epoch, err)
 	}
 	if e := m.Epoch(); e != 2 || flushes != 2 {
 		t.Fatalf("empty apply: epoch %d, flushes %d, want 2 and 2", e, flushes)
@@ -238,11 +238,11 @@ func TestEpochSemantics(t *testing.T) {
 
 	// One batched apply of three inserts is one epoch and one flush.
 	deny := Rule{PDP: "p", Action: ActionDeny}
-	ids, err := m.ApplyCtx(obs.SpanContext{}, []Rule{deny, deny, deny}, nil)
+	ids, epoch, err := m.ApplyCtx(obs.SpanContext{}, []Rule{deny, deny, deny}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := m.Epoch(); e != 3 || flushes != 3 || m.Len() != 3 {
+	if e := m.Epoch(); e != 3 || epoch != 3 || flushes != 3 || m.Len() != 3 {
 		t.Fatalf("batched insert: epoch %d, flushes %d, rules %d, want 3, 3, 3", e, flushes, m.Len())
 	}
 
@@ -259,8 +259,8 @@ func TestEpochSemantics(t *testing.T) {
 		{"unknown id", []Rule{deny}, []RuleID{ids[0], id}, ErrUnknownRule},
 	}
 	for _, tc := range rejected {
-		if _, err := m.ApplyCtx(obs.SpanContext{}, tc.inserts, tc.revokes); !errors.Is(err, tc.want) {
-			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.want)
+		if _, epoch, err := m.ApplyCtx(obs.SpanContext{}, tc.inserts, tc.revokes); !errors.Is(err, tc.want) || epoch != 0 {
+			t.Fatalf("%s: epoch %d, err = %v, want 0 and %v", tc.name, epoch, err, tc.want)
 		}
 		if e := m.Epoch(); e != 3 || flushes != 3 || !reflect.DeepEqual(m.Rules(), before) {
 			t.Fatalf("%s: rejected apply changed state: epoch %d, flushes %d, rules %v", tc.name, e, flushes, m.Rules())
@@ -268,10 +268,10 @@ func TestEpochSemantics(t *testing.T) {
 	}
 
 	// A batched revoke-and-insert is one epoch too.
-	if _, err := m.ApplyCtx(obs.SpanContext{}, []Rule{deny}, ids); err != nil {
+	if _, epoch, err = m.ApplyCtx(obs.SpanContext{}, []Rule{deny}, ids); err != nil {
 		t.Fatal(err)
 	}
-	if e := m.Epoch(); e != 4 || flushes != 4 || m.Len() != 1 {
+	if e := m.Epoch(); e != 4 || epoch != 4 || flushes != 4 || m.Len() != 1 {
 		t.Fatalf("batched revoke+insert: epoch %d, flushes %d, rules %d, want 4, 4, 1", e, flushes, m.Len())
 	}
 }

@@ -158,3 +158,37 @@ func TestEngineForgetsRulesRevokedBehindItsBack(t *testing.T) {
 		t.Fatalf("manager holds %d rules, want the document's 7", pm.Len())
 	}
 }
+
+// TestEngineReprobesAfterARevokeDuringItsFlush: a rule revoked behind the
+// engine's back while the engine's own apply is still flushing leaves the
+// manager's epoch past the one that apply published, so the next apply
+// probes again, forgets the rule and re-inserts it.
+func TestEngineReprobesAfterARevokeDuringItsFlush(t *testing.T) {
+	eng, pm := newEngine(t)
+	if _, err := eng.SetSource(engineDoc); err != nil {
+		t.Fatal(err)
+	}
+	var kiosk policy.RuleID
+	for _, r := range pm.Rules() {
+		if r.Src.Host == "lobby-kiosk" {
+			kiosk = r.ID
+		}
+	}
+	revoked := false
+	pm.SetFlushFunc(func(obs.SpanContext, []policy.RuleID) {
+		if !revoked {
+			revoked = true
+			if err := pm.Revoke(kiosk); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	edited := engineDoc + "allow from host web to host wiki\n"
+	if d, err := eng.SetSource(edited); err != nil || len(d.Insert) != 1 || !revoked {
+		t.Fatalf("apply with a revoke during its flush: delta %+v, err %v, revoked %v", d, err, revoked)
+	}
+	d, err := eng.SetSource(edited)
+	if err != nil || len(d.Insert) != 1 || len(d.Revoke) != 0 || d.Insert[0].Src.Host != "lobby-kiosk" {
+		t.Fatalf("reload: delta %+v, err %v, want the kiosk rule re-inserted", d, err)
+	}
+}

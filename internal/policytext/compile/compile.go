@@ -5,7 +5,9 @@
 // expands group references (transitively) and resolves role aliases once
 // per statement, producing a Program of flat policy.Rule values, each
 // carrying provenance back to the source statement that produced it; Lower
-// is that Program filtered by temporal windows. Engine (see
+// is that Program filtered by temporal windows. Recompile builds the
+// Program of an edited document from the one it replaces, lowering only
+// the statements the edit changed. Engine (see
 // engine.go) owns a live policy.Manager: it applies full documents
 // atomically and, for runtime events — group membership churn, template
 // instantiation, temporal window transitions — recomputes only the
@@ -17,7 +19,9 @@ package compile
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/dfi-sdn/dfi/internal/core/policy"
@@ -42,13 +46,18 @@ type Provenance struct {
 // String renders the provenance as the rule's Origin tag.
 func (p Provenance) String() string {
 	var b strings.Builder
+	b.Grow(len(p.Template) + len(p.Via) + 32)
 	if p.Template != "" {
-		fmt.Fprintf(&b, "template %s", p.Template)
+		b.WriteString("template ")
+		b.WriteString(p.Template)
 	} else {
-		fmt.Fprintf(&b, "line %d", p.Line)
+		var num [20]byte
+		b.WriteString("line ")
+		b.Write(strconv.AppendInt(num[:0], int64(p.Line), 10))
 	}
 	if p.Via != "" {
-		b.WriteString(" via " + p.Via)
+		b.WriteString(" via ")
+		b.WriteString(p.Via)
 	}
 	return b.String()
 }
@@ -77,9 +86,9 @@ func (d Delta) Empty() bool { return len(d.Insert) == 0 && len(d.Revoke) == 0 }
 
 // Program is a policy document compiled to rules: the parsed document
 // and, for each of its rule statements in document order, the statement's
-// window-ungated lowering. Compile builds it and nothing mutates it
-// afterwards, so the engine's plan, the verifier and the admin API's
-// annotations all read one value, and the engine keeps the value it
+// window-ungated lowering. Compile (or Recompile) builds it and nothing
+// mutates it afterwards, so the engine's plan, the verifier and the admin
+// API's annotations all read one value, and the engine keeps the value it
 // applied as its document state.
 type Program struct {
 	Doc *policytext.Document
@@ -88,6 +97,17 @@ type Program struct {
 	// declErrs and stmtErrs are the compile errors, kept apart so the
 	// engine reports its pdp checks between them, in document order.
 	declErrs, stmtErrs policytext.ErrorList
+	// lowered counts the statements this compile lowered rather than
+	// reused.
+	lowered int
+	memo    memo
+}
+
+// Memo returns build(p), calling build once per program: analyses keep
+// what they derive from a program, which never changes, with it.
+func (p *Program) Memo(build func(p *Program) any) any {
+	p.memo.once.Do(func() { p.memo.v = build(p) })
+	return p.memo.v
 }
 
 // StmtRules is one rule statement with its lowering, regardless of the
@@ -103,6 +123,49 @@ type StmtRules struct {
 	Key string
 	// Rules is empty when the statement failed to lower.
 	Rules []CompiledRule
+	// low identifies the lowering Rules came from, and memoizes what
+	// analyses derive from it. A statement Recompile reuses shares it with
+	// the statement it was reused from, on whatever line either sits; it
+	// is nil when the statement failed to lower.
+	low *memo
+}
+
+// memo holds one value computed on first use.
+type memo struct {
+	once sync.Once
+	v    any
+}
+
+// Memo returns build(st), calling build once per lowering: every statement
+// that shares st's lowering — the same statement in the programs Recompile
+// built from this one — gets the value computed first. build may read
+// st.Key, st.Template, st.Stmt's window and each rule's Key, Rule and
+// Prov.Stmt/Via, but no line or Origin: a reused statement may sit on
+// another line. A statement that failed to lower calls build every time.
+func (st *StmtRules) Memo(build func(st *StmtRules) any) any {
+	if st.low == nil {
+		return build(st)
+	}
+	st.low.once.Do(func() { st.low.v = build(st) })
+	return st.low.v
+}
+
+// at places a lowering at rs, the same statement (same key) on its own
+// line: a lowering from another line gets a copy of its rules with rs's
+// line in Prov.Line and Origin.
+func (st StmtRules) at(rs policytext.RuleStmt) StmtRules {
+	moved := st.Stmt.Line != rs.Line
+	st.Stmt = rs
+	if moved && st.Template == "" {
+		rules := make([]CompiledRule, len(st.Rules))
+		for i, cr := range st.Rules {
+			cr.Prov.Line = rs.Line
+			cr.Rule.Origin = cr.Prov.String()
+			rules[i] = cr
+		}
+		st.Rules = rules
+	}
+	return st
 }
 
 // Compile lowers every statement of doc once and validates every group
@@ -110,9 +173,144 @@ type StmtRules struct {
 // program; statements that fail to lower carry no rules, and Lower and
 // Engine.Apply report every failure.
 func Compile(doc *policytext.Document) *Program {
-	p := &Program{Doc: doc, declErrs: validateDecls(doc)}
-	p.Stmts, p.stmtErrs = lowerStmts(doc, doc.Rules, "")
+	return Recompile(nil, doc)
+}
+
+// Recompile compiles doc as Compile does, taking each statement's
+// lowering from prev — the program doc replaces — when prev holds the
+// statement (same pdp, same text or failing that the same canonical text)
+// with a lowering, and doc defines every group and role the statement
+// references exactly as prev's document does, through nested groups. The
+// result equals Compile(doc); a one-line edit lowers at most that line,
+// and a line move copies only the moved statements' rules. A nil prev
+// lowers everything.
+func Recompile(prev *Program, doc *policytext.Document) *Program {
+	p := &Program{Doc: doc, declErrs: validateDecls(doc), Stmts: make([]StmtRules, len(doc.Rules))}
+	r := newReuse(prev, doc)
+	for i, rs := range doc.Rules {
+		from, stmtText := r.lookup(rs)
+		if from != nil && from.low != nil && r.sameRefs(rs) {
+			p.Stmts[i] = from.at(rs)
+			continue
+		}
+		if stmtText == "" {
+			stmtText = policytext.FormatStmt(rs)
+		}
+		st, err := lowerStmt(doc, rs, stmtText, "")
+		if err != nil {
+			p.stmtErrs = append(p.stmtErrs, err)
+		}
+		p.Stmts[i] = st
+		p.lowered++
+	}
 	return p
+}
+
+// reuse finds, for the statements of doc, the lowering prev already holds.
+type reuse struct {
+	prev   *Program
+	doc    *policytext.Document
+	byText map[textKey]int // prev statement index by (pdp, Text)
+	byKey  map[string]int  // prev statement index by key, built on the first text miss
+	groups map[string]bool // group name -> declared in doc exactly as in prev
+	roles  map[string]bool // role name -> likewise
+}
+
+type textKey struct{ pdp, text string }
+
+func newReuse(prev *Program, doc *policytext.Document) *reuse {
+	r := &reuse{prev: prev, doc: doc}
+	if prev == nil {
+		return r
+	}
+	r.byText = make(map[textKey]int, len(prev.Stmts))
+	for i := range prev.Stmts {
+		rs := &prev.Stmts[i].Stmt
+		if k := (textKey{rs.PDP, rs.Text}); rs.Text != "" {
+			if _, dup := r.byText[k]; !dup {
+				r.byText[k] = i
+			}
+		}
+	}
+	r.groups, r.roles = map[string]bool{}, map[string]bool{}
+	return r
+}
+
+// lookup returns prev's statement with rs's text or, failing that, rs's
+// canonical key. stmtText is rs's canonical text when lookup had to format
+// it, "" otherwise.
+func (r *reuse) lookup(rs policytext.RuleStmt) (from *StmtRules, stmtText string) {
+	if r.prev == nil {
+		return nil, ""
+	}
+	if rs.Text != "" {
+		if i, ok := r.byText[textKey{rs.PDP, rs.Text}]; ok {
+			return &r.prev.Stmts[i], ""
+		}
+	}
+	if r.byKey == nil {
+		r.byKey = make(map[string]int, len(r.prev.Stmts))
+		for i := len(r.prev.Stmts) - 1; i >= 0; i-- {
+			r.byKey[r.prev.Stmts[i].Key] = i // the first of duplicates wins
+		}
+	}
+	stmtText = policytext.FormatStmt(rs)
+	if i, ok := r.byKey[stmtKey(rs, stmtText, "")]; ok {
+		return &r.prev.Stmts[i], stmtText
+	}
+	return nil, stmtText
+}
+
+// sameRefs reports whether every group and role rs references is declared
+// in doc exactly as in prev's document, so rs lowers alike in both.
+func (r *reuse) sameRefs(rs policytext.RuleStmt) bool {
+	for _, ref := range [2]policytext.EndpointRef{rs.Src, rs.Dst} {
+		if ref.Role != "" && !r.sameRole(ref.Role) {
+			return false
+		}
+		if ref.Group != "" && !r.sameGroup(ref.Group) {
+			return false
+		}
+	}
+	return true
+}
+
+func (r *reuse) sameRole(name string) bool {
+	same, ok := r.roles[name]
+	if !ok {
+		a, inDoc := r.doc.Role(name)
+		b, inPrev := r.prev.Doc.Role(name)
+		same = inDoc && inPrev && specEqual(a.Spec, b.Spec)
+		r.roles[name] = same
+	}
+	return same
+}
+
+// sameGroup reports whether doc declares group name with the members prev
+// declares, in order, and likewise for every group nested in it.
+func (r *reuse) sameGroup(name string) bool {
+	if same, ok := r.groups[name]; ok {
+		return same
+	}
+	r.groups[name] = false // a membership cycle never matches: it fails to lower
+	a, inDoc := r.doc.Group(name)
+	b, inPrev := r.prev.Doc.Group(name)
+	same := inDoc && inPrev && len(a.Members) == len(b.Members)
+	for i := 0; same && i < len(a.Members); i++ {
+		m, o := a.Members[i], b.Members[i]
+		same = m.Group == o.Group && specEqual(m.Spec, o.Spec) && (m.Group == "" || r.sameGroup(m.Group))
+	}
+	r.groups[name] = same
+	return same
+}
+
+func specEqual(a, b policy.EndpointSpec) bool {
+	return a.User == b.User && a.Host == b.Host && ptrEqual(a.IP, b.IP) && ptrEqual(a.Port, b.Port) &&
+		ptrEqual(a.MAC, b.MAC) && ptrEqual(a.SwitchPort, b.SwitchPort) && ptrEqual(a.DPID, b.DPID)
+}
+
+func ptrEqual[T comparable](a, b *T) bool {
+	return a == b || (a != nil && b != nil && *a == *b)
 }
 
 // Lower compiles a document to its flat rule set as of time at: temporal
@@ -184,26 +382,19 @@ func CompileTemplate(doc *policytext.Document, name string, args []string) ([]St
 	if len(errs) > 0 {
 		return nil, errs
 	}
-	stmts, errs := lowerStmts(doc, rss, InstanceKey(name, args))
+	instance := InstanceKey(name, args)
+	stmts := make([]StmtRules, len(rss))
+	for i, rs := range rss {
+		st, err := lowerStmt(doc, rs, policytext.FormatStmt(rs), instance)
+		if err != nil {
+			errs = append(errs, err)
+		}
+		stmts[i] = st
+	}
 	if len(errs) > 0 {
 		return stmts, errs
 	}
 	return stmts, nil
-}
-
-// lowerStmts lowers each statement in order; the single place statements
-// become rules.
-func lowerStmts(doc *policytext.Document, rss []policytext.RuleStmt, tmplInstance string) ([]StmtRules, policytext.ErrorList) {
-	out := make([]StmtRules, len(rss))
-	var errs policytext.ErrorList
-	for i, rs := range rss {
-		crs, key, err := lowerStmt(doc, rs, tmplInstance)
-		if err != nil {
-			errs = append(errs, err)
-		}
-		out[i] = StmtRules{Stmt: rs, Template: tmplInstance, Key: key, Rules: crs}
-	}
-	return out, errs
 }
 
 // validateDecls checks every group declaration for unknown nested groups
@@ -229,20 +420,21 @@ func stmtKey(rs policytext.RuleStmt, stmtText, tmplInstance string) string {
 	return "stmt|" + rs.PDP + "|" + stmtText
 }
 
-// lowerStmt expands one statement into its rules (ignoring the window;
-// callers gate on Window.Active) and returns them with the statement's
-// key. The statement's cross product of source and destination expansions
-// is deduplicated by key.
-func lowerStmt(doc *policytext.Document, rs policytext.RuleStmt, tmplInstance string) ([]CompiledRule, string, *policytext.ParseError) {
-	stmtText := policytext.FormatStmt(rs)
+// lowerStmt expands one statement, whose canonical text is stmtText,
+// into its rules (ignoring the window; callers gate on Window.Active): the
+// single place statements become rules. The statement's cross product of
+// source and destination expansions is deduplicated by key. A statement
+// that fails to lower comes back with its key and no rules.
+func lowerStmt(doc *policytext.Document, rs policytext.RuleStmt, stmtText, tmplInstance string) (StmtRules, *policytext.ParseError) {
 	sk := stmtKey(rs, stmtText, tmplInstance)
+	st := StmtRules{Stmt: rs, Template: tmplInstance, Key: sk}
 	srcs, err := expandRef(doc, rs.Src, "src", rs.Line)
 	if err != nil {
-		return nil, sk, err
+		return st, err
 	}
 	dsts, err := expandRef(doc, rs.Dst, "dst", rs.Line)
 	if err != nil {
-		return nil, sk, err
+		return st, err
 	}
 	var out []CompiledRule
 	seen := map[string]bool{}
@@ -270,7 +462,8 @@ func lowerStmt(doc *policytext.Document, rs policytext.RuleStmt, tmplInstance st
 			out = append(out, CompiledRule{Key: key, Rule: r, Prov: prov})
 		}
 	}
-	return out, sk, nil
+	st.Rules, st.low = out, &memo{}
+	return st, nil
 }
 
 func joinVia(a, b string) string {

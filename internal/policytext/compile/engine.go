@@ -2,7 +2,6 @@ package compile
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -24,7 +23,9 @@ import (
 // rules (tagged with that id as cookie) survive the change. Each operation
 // plans its whole delta first and lands it as one Manager.ApplyCtx: one
 // snapshot, one epoch, one flush, and no admission ever decides against a
-// half-applied change.
+// half-applied change. A document apply costs what the document changed:
+// statements that keep their lowering (see Recompile) keep their runtime
+// state and are not revisited.
 //
 // All methods are safe for concurrent use.
 type Engine struct {
@@ -36,33 +37,43 @@ type Engine struct {
 	// prog is the applied document, compiled. It is replaced, never
 	// mutated: Apply and Diff hand it out as the program a document
 	// replaces, and a membership change builds a new one copy-on-write.
-	prog      *Program
-	stmts     map[string]*runtimeStmt // by statement key
-	order     []string                // statement keys, document order
-	installed map[string]installedRule
+	prog  *Program
+	stmts map[string]runtimeStmt // by statement key
+	order []string               // statement keys, document order
+	// installed maps every installed rule's key to its manager id. The
+	// rule and its provenance are its statement's, in stmts.
+	installed map[string]policy.RuleID
 	byStmt    map[string]map[string]bool // statement key -> installed rule keys
+	// stale holds statements that lost installed rules to a revoke behind
+	// the engine's back; the next document apply re-plans them.
+	stale map[string]bool
+	// synced is a manager epoch at which installed matched the manager's
+	// rules, 0 when none is known: while the manager's epoch still equals
+	// it, no one else has applied since, and nothing was revoked behind
+	// the engine's back.
+	synced    uint64
 	instances map[string]templateInstance
 	timerStop func()
 	timerGen  uint64
 }
 
+// runtimeStmt is a running statement: its lowering (in the program that
+// placed it, or a template instance's), the groups it depends on and
+// whether its window is open.
 type runtimeStmt struct {
-	StmtRules
+	*StmtRules
 	deps   map[string]bool
 	active bool
 }
 
-type installedRule struct {
-	id   policy.RuleID
-	rule policy.Rule
-	prov Provenance
-}
-
-// stored is the rule as the manager holds it, id included.
-func (inst installedRule) stored() policy.Rule {
-	r := inst.rule
-	r.ID = inst.id
-	return r
+// want plans the statement's rules into w: its lowering while its window
+// is open, none while it is closed.
+func (rt runtimeStmt) want(w desired) {
+	if rt.active {
+		w.set(rt.Key, rt.Rules)
+	} else {
+		w[rt.Key] = nil
+	}
 }
 
 type templateInstance struct {
@@ -81,9 +92,10 @@ func NewEngine(pm *policy.Manager, sched simclock.Scheduler) *Engine {
 		pm:        pm,
 		sched:     sched,
 		prog:      Compile(&policytext.Document{}),
-		stmts:     map[string]*runtimeStmt{},
-		installed: map[string]installedRule{},
+		stmts:     map[string]runtimeStmt{},
+		installed: map[string]policy.RuleID{},
 		byStmt:    map[string]map[string]bool{},
+		stale:     map[string]bool{},
 		instances: map[string]templateInstance{},
 	}
 }
@@ -103,12 +115,18 @@ func (e *Engine) Compiled() []CompiledRule {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	out := make([]CompiledRule, 0, len(e.installed))
-	for key, inst := range e.installed {
-		r := inst.stored()
-		if prio, ok := e.pm.PDPPriority(r.PDP); ok {
-			r.Priority = prio
+	for _, sk := range e.order {
+		for _, cr := range e.stmts[sk].Rules {
+			id, ok := e.installed[cr.Key]
+			if !ok {
+				continue
+			}
+			cr.Rule.ID = id
+			if prio, ok := e.pm.PDPPriority(cr.Rule.PDP); ok {
+				cr.Rule.Priority = prio
+			}
+			out = append(out, cr)
 		}
-		out = append(out, CompiledRule{Key: key, Rule: r, Prov: inst.prov})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Rule.ID < out[j].Rule.ID })
 	return out
@@ -127,13 +145,52 @@ func (e *Engine) Instances() []string {
 }
 
 // SourceCheck is a semantic gate run by Apply on a compiled document
-// before any rule is touched. A non-nil error (typically a
+// before any rule is touched. It returns its findings about the program,
+// which Apply hands back with the delta; a non-nil error (typically a
 // policytext.ErrorList with per-finding lines) rejects the document
 // atomically, exactly like a compile error. The check must be a pure
 // function of the program: it runs outside the engine lock (so it may
 // safely call back into the engine) and therefore before the compile-time
 // checks that consult runtime state.
-type SourceCheck func(p *Program) error
+type SourceCheck func(p *Program) ([]Finding, error)
+
+// Severity classifies a finding: error rejects the document, warn
+// annotates it.
+type Severity string
+
+const (
+	SevWarn  Severity = "warn"
+	SevError Severity = "error"
+)
+
+// Finding is one diagnostic a SourceCheck reports about a program. The
+// policy verifier (package verify) produces them.
+type Finding struct {
+	Check    string   `json:"check"`
+	Severity Severity `json:"severity"`
+	// Line is the 1-based source line of the flagged statement or
+	// declaration (for template-body statements, the body line).
+	Line int `json:"line"`
+	// Stmt is the canonical text of the flagged statement ("" for
+	// declaration-level findings).
+	Stmt string `json:"stmt,omitempty"`
+	// Template tags findings inside a template body with the placeholder
+	// instance they were analyzed under, e.g. "quarantine($h)".
+	Template string `json:"template,omitempty"`
+	// Via is the group-expansion chain of the specific lowered rule the
+	// finding is about, when the statement fans out.
+	Via string `json:"via,omitempty"`
+	// OtherLine is the line of the counterpart rule (the coverer for
+	// shadow/conflict/redundant), 0 when there is none.
+	OtherLine int    `json:"otherLine,omitempty"`
+	Message   string `json:"message"`
+}
+
+// String renders the finding in the dfilint-style "line N: [check]" shape;
+// callers holding a filename prefix it.
+func (f Finding) String() string {
+	return fmt.Sprintf("line %d: [%s] %s: %s", f.Line, f.Check, f.Severity, f.Message)
+}
 
 // SetCheck installs the semantic gate applied by Apply. The system wires
 // the policy verifier here; Diff is deliberately ungated so dry runs and
@@ -145,44 +202,58 @@ func (e *Engine) SetCheck(check SourceCheck) {
 }
 
 // SetSource parses, compiles and applies a full policy document; see
-// Apply.
+// Compile and Apply.
 func (e *Engine) SetSource(src string) (Delta, error) {
 	doc, err := policytext.Parse(strings.NewReader(src))
 	if err != nil {
 		return Delta{}, err
 	}
-	d, _, err := e.Apply(Compile(doc))
+	d, _, _, err := e.Apply(e.Compile(doc))
 	return d, err
 }
 
+// Compile compiles doc against the running program (see Recompile), so
+// only the statements doc changed are lowered. The program is read under
+// the lock and compiled outside it; if another document is applied in
+// between, the result is still exact, only less of it is reused.
+func (e *Engine) Compile(doc *policytext.Document) *Program {
+	e.mu.Lock()
+	prev := e.prog
+	e.mu.Unlock()
+	return Recompile(prev, doc)
+}
+
 // Apply validates and applies a compiled document atomically and returns
-// the delta and the program it replaced: on any gate or compile error
-// (returned as a policytext.ErrorList) nothing is changed. On success only
-// the delta against the previous lowering is applied — unchanged rules
-// keep their IDs — and active template instances are re-instantiated
-// against the new document (instances whose template vanished or no
-// longer compiles are dropped). The engine keeps p as its document state.
-func (e *Engine) Apply(p *Program) (Delta, *Program, error) {
+// the delta, the program it replaced and the gate's findings: on any gate
+// or compile error (returned as a policytext.ErrorList) nothing is
+// changed. On success only the delta against the previous lowering is
+// applied — unchanged rules keep their IDs — and active template instances
+// are re-instantiated against the new document (instances whose template
+// vanished or no longer compiles are dropped). The engine keeps p as its
+// document state.
+func (e *Engine) Apply(p *Program) (Delta, *Program, []Finding, error) {
 	e.mu.Lock()
 	check := e.check
 	e.mu.Unlock()
+	var findings []Finding
 	if check != nil {
-		if err := check(p); err != nil {
-			return Delta{}, nil, err
+		var err error
+		if findings, err = check(p); err != nil {
+			return Delta{}, nil, nil, err
 		}
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	ps, err := e.plan(p)
 	if err != nil {
-		return Delta{}, nil, err
+		return Delta{}, nil, nil, err
 	}
 	prev := e.prog
 	d, err := e.applyPlan(ps)
 	if err != nil {
-		return Delta{}, nil, err
+		return Delta{}, nil, nil, err
 	}
-	return d, prev, nil
+	return d, prev, findings, nil
 }
 
 // Diff returns the delta applying a compiled document would produce and
@@ -197,12 +268,9 @@ func (e *Engine) Diff(p *Program) (Delta, *Program, error) {
 		return Delta{}, nil, err
 	}
 	inserts, revokes := e.deltaLocked(e.documentWant(ps))
-	var d Delta
+	d := Delta{Revoke: e.storedLocked(revokes)}
 	for _, cr := range inserts {
 		d.Insert = append(d.Insert, cr.Rule)
-	}
-	for _, key := range revokes {
-		d.Revoke = append(d.Revoke, e.installed[key].stored())
 	}
 	sortDelta(&d)
 	return d, e.prog, nil
@@ -210,16 +278,22 @@ func (e *Engine) Diff(p *Program) (Delta, *Program, error) {
 
 // plannedState is a fully validated compilation of a proposed document.
 type plannedState struct {
-	prog      *Program
-	stmts     map[string]*runtimeStmt
-	order     []string
-	rules     desired // the whole desired installed set
+	prog  *Program
+	stmts map[string]runtimeStmt
+	order []string
+	// touched lists the statements whose rules the engine does not run
+	// yet: new statements and statements lowered anew. removed lists the
+	// running statements the document drops.
+	touched, removed []string
+	// windowed is set when a touched or removed statement has a temporal
+	// window, so the window timer needs re-arming.
+	windowed  bool
 	instances map[string]templateInstance
 }
 
 // plan validates prog against the engine's runtime state and lays out the
-// statements and rules swapping onto it would install. It lowers nothing
-// of the document: every statement's rules come from prog.
+// statements swapping onto it would run. It lowers nothing of the
+// document: every statement's rules come from prog.
 func (e *Engine) plan(prog *Program) (*plannedState, error) {
 	doc := prog.Doc
 	now := e.sched.Now()
@@ -235,23 +309,12 @@ func (e *Engine) plan(prog *Program) (*plannedState, error) {
 	}
 	p := &plannedState{
 		prog:      prog,
-		stmts:     map[string]*runtimeStmt{},
-		rules:     desired{},
+		stmts:     make(map[string]runtimeStmt, len(prog.Stmts)),
+		order:     make([]string, 0, len(prog.Stmts)),
 		instances: map[string]templateInstance{},
 	}
-	addStmt := func(st StmtRules) {
-		if _, dup := p.stmts[st.Key]; dup {
-			return // identical duplicate statement: unify
-		}
-		rt := &runtimeStmt{StmtRules: st, deps: stmtDeps(doc, st.Stmt), active: st.Stmt.Window.Active(now)}
-		p.stmts[st.Key] = rt
-		p.order = append(p.order, st.Key)
-		if rt.active {
-			p.rules.set(st.Key, st.Rules)
-		}
-	}
-	for _, st := range prog.Stmts {
-		addStmt(st)
+	for i := range prog.Stmts {
+		e.planStmt(p, &prog.Stmts[i], now)
 	}
 	// Re-instantiate retained template instances against the new document;
 	// instances that no longer fit are dropped rather than blocking apply.
@@ -261,11 +324,38 @@ func (e *Engine) plan(prog *Program) (*plannedState, error) {
 			continue
 		}
 		p.instances[key] = inst
-		for _, st := range stmts {
-			addStmt(st)
+		for i := range stmts {
+			e.planStmt(p, &stmts[i], now)
+		}
+	}
+	for _, sk := range e.order {
+		if _, kept := p.stmts[sk]; !kept {
+			p.removed = append(p.removed, sk)
+			p.windowed = p.windowed || !e.stmts[sk].Stmt.Window.IsZero()
 		}
 	}
 	return p, nil
+}
+
+// planStmt lays out one statement of a planned state. A statement the
+// engine runs with the same lowering keeps its dependencies, window state
+// and installed rules, whatever line it moved to — unless its window
+// opened or closed and the timer has yet to apply that. Any other
+// statement is touched.
+func (e *Engine) planStmt(p *plannedState, st *StmtRules, now time.Time) {
+	if _, dup := p.stmts[st.Key]; dup {
+		return // identical duplicate statement: unify
+	}
+	rt, running := e.stmts[st.Key]
+	if running && rt.low != nil && rt.low == st.low && (st.Stmt.Window.IsZero() || rt.active == st.Stmt.Window.Active(now)) {
+		rt.StmtRules = st
+	} else {
+		rt = runtimeStmt{StmtRules: st, deps: stmtDeps(p.prog.Doc, st.Stmt), active: st.Stmt.Window.Active(now)}
+		p.touched = append(p.touched, st.Key)
+		p.windowed = p.windowed || !st.Stmt.Window.IsZero()
+	}
+	p.stmts[st.Key] = rt
+	p.order = append(p.order, st.Key)
 }
 
 // applyPlan swaps the engine onto a planned state, applying the rule
@@ -289,7 +379,14 @@ func (e *Engine) applyPlan(p *plannedState) (Delta, error) {
 	e.stmts = p.stmts
 	e.order = p.order
 	e.instances = p.instances
-	e.rearmTimerLocked()
+	for sk := range e.stale {
+		if _, kept := e.stmts[sk]; !kept {
+			delete(e.stale, sk)
+		}
+	}
+	if p.windowed {
+		e.rearmTimerLocked()
+	}
 	return d, nil
 }
 
@@ -315,14 +412,24 @@ func (w desired) set(sk string, crs []CompiledRule) {
 	}
 }
 
-// documentWant is the plan for swapping onto p: it touches every statement
-// installed now or planned by p, so statements p dropped lose their rules.
+// documentWant is the plan for swapping onto p: statements p dropped lose
+// their rules, touched statements and stale ones (which lost rules behind
+// the engine's back) get p's. Every other statement keeps what it has
+// installed.
 func (e *Engine) documentWant(p *plannedState) desired {
-	want := make(desired, len(e.byStmt)+len(p.rules))
-	for sk := range e.byStmt {
+	e.forgetRevokedLocked()
+	want := make(desired, len(p.removed)+len(p.touched)+len(e.stale))
+	for _, sk := range p.removed {
 		want[sk] = nil
 	}
-	maps.Copy(want, p.rules)
+	for _, sk := range p.touched {
+		p.stmts[sk].want(want)
+	}
+	for sk := range e.stale {
+		if rt, ok := p.stmts[sk]; ok {
+			rt.want(want)
+		}
+	}
 	return want
 }
 
@@ -355,26 +462,39 @@ func (e *Engine) deltaLocked(want desired) (inserts []CompiledRule, revokes []st
 // rejected apply returns its error with the engine as it was.
 func (e *Engine) commitLocked(sc obs.SpanContext, want desired) (Delta, error) {
 	inserts, revokes := e.deltaLocked(want)
-	insertRules := make([]policy.Rule, len(inserts))
-	for i, cr := range inserts {
-		insertRules[i] = cr.Rule
+	d := Delta{Revoke: e.storedLocked(revokes)}
+	var ids []policy.RuleID
+	if len(inserts)+len(revokes) > 0 {
+		insertRules := make([]policy.Rule, len(inserts))
+		for i, cr := range inserts {
+			insertRules[i] = cr.Rule
+		}
+		revokeIDs := make([]policy.RuleID, len(revokes))
+		for i, key := range revokes {
+			revokeIDs[i] = e.installed[key]
+		}
+		var (
+			epoch uint64
+			err   error
+		)
+		ids, epoch, err = e.pm.ApplyCtx(sc, insertRules, revokeIDs)
+		if err != nil {
+			e.synced = 0
+			return Delta{}, policytext.ErrorList{perrf(0, "apply policy delta: %v", err)}
+		}
+		// The epoch right after the one installed was checked against means
+		// no one else applied in between.
+		if e.synced != 0 && epoch == e.synced+1 {
+			e.synced = epoch
+		} else {
+			e.synced = 0
+		}
 	}
-	revokeIDs := make([]policy.RuleID, len(revokes))
-	for i, key := range revokes {
-		revokeIDs[i] = e.installed[key].id
-	}
-	ids, err := e.pm.ApplyCtx(sc, insertRules, revokeIDs) // an empty delta is no apply
-	if err != nil {
-		return Delta{}, policytext.ErrorList{perrf(0, "apply policy delta: %v", err)}
-	}
-
-	var d Delta
 	for _, key := range revokes {
-		d.Revoke = append(d.Revoke, e.installed[key].stored())
 		e.forgetLocked(key)
 	}
 	for i, cr := range inserts {
-		e.installed[cr.Key] = installedRule{id: ids[i]}
+		e.installed[cr.Key] = ids[i]
 		sk := stmtOf(cr.Key)
 		if e.byStmt[sk] == nil {
 			e.byStmt[sk] = map[string]bool{}
@@ -383,30 +503,58 @@ func (e *Engine) commitLocked(sc obs.SpanContext, want desired) (Delta, error) {
 		d.Insert = append(d.Insert, cr.Rule)
 		d.Insert[i].ID = ids[i]
 	}
-	// Every wanted rule, new or kept in place with its ID, takes the plan's
-	// provenance: a kept rule's line or group chain may have moved.
-	for _, rules := range want {
-		for key, cr := range rules {
-			inst := e.installed[key]
-			inst.rule, inst.prov = cr.Rule, cr.Prov
-			e.installed[key] = inst
-		}
+	for sk := range want {
+		delete(e.stale, sk)
 	}
 	sortDelta(&d)
 	return d, nil
 }
 
-// forgetRevokedLocked drops installed rules that an in-process caller
-// revoked behind the engine's back (Manager.Revoke on an engine-owned id).
-// Kept, such an id would reject every later apply that revokes it, and
-// SetSource would never re-insert a rule its document still asks for.
-func (e *Engine) forgetRevokedLocked() {
-	snap := e.pm.Snapshot()
-	for key, inst := range e.installed {
-		if snap.Get(inst.id) == nil {
-			e.forgetLocked(key)
+// storedLocked returns the installed rules named by keys as the manager
+// holds them, id included, with their statements' current provenance.
+func (e *Engine) storedLocked(keys []string) []policy.Rule {
+	if len(keys) == 0 {
+		return nil
+	}
+	named := make(map[string]bool, len(keys))
+	for _, key := range keys {
+		named[key] = true
+	}
+	out := make([]policy.Rule, 0, len(keys))
+	for _, key := range keys {
+		rt, ok := e.stmts[stmtOf(key)]
+		if !ok || !named[key] {
+			continue // a statement already read
+		}
+		for _, cr := range rt.Rules {
+			if named[cr.Key] {
+				delete(named, cr.Key)
+				cr.Rule.ID = e.installed[cr.Key]
+				out = append(out, cr.Rule)
+			}
 		}
 	}
+	return out
+}
+
+// forgetRevokedLocked drops installed rules that an in-process caller
+// revoked behind the engine's back (Manager.Revoke on an engine-owned id)
+// and marks their statements stale. Kept, such an id would reject every
+// later apply that revokes it, and SetSource would never re-insert a rule
+// its document still asks for. While the manager's epoch is still the one
+// installed was last checked against, there is nothing to probe.
+func (e *Engine) forgetRevokedLocked() {
+	snap := e.pm.Snapshot()
+	if e.synced != 0 && snap.Epoch() == e.synced {
+		return
+	}
+	for key, id := range e.installed {
+		if snap.Get(id) == nil {
+			e.forgetLocked(key)
+			e.stale[stmtOf(key)] = true
+		}
+	}
+	e.synced = snap.Epoch()
 }
 
 func (e *Engine) forgetLocked(key string) {
@@ -475,21 +623,22 @@ func (e *Engine) changeMember(group, memberText string, add bool) (Delta, error)
 // engine swaps onto a new program over doc.
 func (e *Engine) recomputeDependents(doc *policytext.Document, changed string) (Delta, error) {
 	want := desired{}
-	relowered := map[string][]CompiledRule{} // statement key -> new rules
+	relowered := map[string]*StmtRules{} // statement key -> new lowering
 	for _, key := range e.order {
 		st := e.stmts[key]
 		if !st.deps[changed] {
 			continue
 		}
-		crs, _, err := lowerStmt(doc, st.Stmt, st.Template)
+		sr, err := lowerStmt(doc, st.Stmt, policytext.FormatStmt(st.Stmt), st.Template)
 		if err != nil {
 			return Delta{}, policytext.ErrorList{err}
 		}
-		relowered[key] = crs
-		if !st.active {
-			crs = nil
+		relowered[key] = &sr
+		if st.active {
+			want.set(key, sr.Rules)
+		} else {
+			want[key] = nil
 		}
-		want.set(key, crs)
 	}
 	d, err := e.commitLocked(obs.SpanContext{}, want)
 	if err != nil {
@@ -497,15 +646,15 @@ func (e *Engine) recomputeDependents(doc *policytext.Document, changed string) (
 	}
 	prog := &Program{Doc: doc, Stmts: slices.Clone(e.prog.Stmts)}
 	for i, st := range prog.Stmts {
-		if crs, ok := relowered[st.Key]; ok {
-			prog.Stmts[i].Rules = crs
+		if sr, ok := relowered[st.Key]; ok {
+			prog.Stmts[i] = sr.at(st.Stmt)
 		}
 	}
 	e.prog = prog
-	for key, crs := range relowered {
+	for key, sr := range relowered {
 		st := e.stmts[key]
-		st.Rules = crs
-		st.deps = stmtDeps(doc, st.Stmt)
+		st.StmtRules, st.deps = sr, stmtDeps(doc, sr.Stmt)
+		e.stmts[key] = st
 	}
 	return d, nil
 }
@@ -535,13 +684,13 @@ func (e *Engine) Instantiate(sc obs.SpanContext, name string, args ...string) (D
 	}
 	now := e.sched.Now()
 	want := desired{}
-	var added []*runtimeStmt
+	var added []runtimeStmt
 	windowed := false
-	for _, s := range stmts {
+	for i, s := range stmts {
 		if _, dup := want[s.Key]; dup {
 			continue // identical duplicate line in the template body
 		}
-		st := &runtimeStmt{StmtRules: s, deps: stmtDeps(doc, s.Stmt), active: s.Stmt.Window.Active(now)}
+		st := runtimeStmt{StmtRules: &stmts[i], deps: stmtDeps(doc, s.Stmt), active: s.Stmt.Window.Active(now)}
 		added = append(added, st)
 		crs := st.Rules
 		if !st.active {
@@ -586,8 +735,10 @@ func (e *Engine) Retract(sc obs.SpanContext, name string, args ...string) (Delta
 		return Delta{}, err
 	}
 	keep := e.order[:0]
+	windowed := false
 	for _, sk := range e.order {
 		if _, gone := want[sk]; gone {
+			windowed = windowed || !e.stmts[sk].Stmt.Window.IsZero()
 			delete(e.stmts, sk)
 		} else {
 			keep = append(keep, sk)
@@ -595,7 +746,9 @@ func (e *Engine) Retract(sc obs.SpanContext, name string, args ...string) (Delta
 	}
 	e.order = keep
 	delete(e.instances, key)
-	e.rearmTimerLocked()
+	if windowed {
+		e.rearmTimerLocked()
+	}
 	return d, nil
 }
 
@@ -639,7 +792,7 @@ func (e *Engine) onWindowTimer(gen uint64) {
 	}
 	now := e.sched.Now()
 	want := desired{}
-	var flipped []*runtimeStmt
+	var flipped []string
 	for _, sk := range e.order {
 		st := e.stmts[sk]
 		if st.Stmt.Window.IsZero() || st.Stmt.Window.Active(now) == st.active {
@@ -650,11 +803,13 @@ func (e *Engine) onWindowTimer(gen uint64) {
 			crs = st.Rules
 		}
 		want.set(sk, crs)
-		flipped = append(flipped, st)
+		flipped = append(flipped, sk)
 	}
 	if _, err := e.commitLocked(obs.SpanContext{}, want); err == nil {
-		for _, st := range flipped {
+		for _, sk := range flipped {
+			st := e.stmts[sk]
 			st.active = !st.active
+			e.stmts[sk] = st
 		}
 	}
 	e.rearmTimerLocked()

@@ -540,7 +540,7 @@ func programText(p *Program) string {
 func TestMembershipChangeCopiesOnWrite(t *testing.T) {
 	eng, _ := newEngine(t)
 	applied := Compile(mustParse(t, engineDoc))
-	if _, _, err := eng.Apply(applied); err != nil {
+	if _, _, _, err := eng.Apply(applied); err != nil {
 		t.Fatal(err)
 	}
 	want := programText(applied)
@@ -585,7 +585,7 @@ func TestMembershipChangeCopiesOnWrite(t *testing.T) {
 			if i%2 == 0 {
 				next = other
 			}
-			if _, _, err := eng.Apply(next); err != nil {
+			if _, _, _, err := eng.Apply(next); err != nil {
 				t.Error(err)
 				return
 			}

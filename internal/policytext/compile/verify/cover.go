@@ -3,6 +3,7 @@ package verify
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"github.com/dfi-sdn/dfi/internal/core/policy"
 	"github.com/dfi-sdn/dfi/internal/policytext"
@@ -21,6 +22,9 @@ func (b *weekBits) set(i int) { b[i/64] |= 1 << uint(i%64) }
 
 // contains reports o ⊆ b.
 func (b *weekBits) contains(o *weekBits) bool {
+	if b == o || b == fullWeek {
+		return true
+	}
 	for i := range o {
 		if o[i]&^b[i] != 0 {
 			return false
@@ -83,11 +87,10 @@ func windowBits(w policytext.Window) *weekBits {
 // windowCache memoizes windowBits per distinct Window value.
 type windowCache struct {
 	bits map[policytext.Window]*weekBits
-	full *weekBits
 }
 
 func newWindowCache() *windowCache {
-	return &windowCache{bits: map[policytext.Window]*weekBits{}, full: windowBits(policytext.Window{})}
+	return &windowCache{bits: map[policytext.Window]*weekBits{}}
 }
 
 func (c *windowCache) get(w policytext.Window) *weekBits {
@@ -99,19 +102,71 @@ func (c *windowCache) get(w policytext.Window) *weekBits {
 	return b
 }
 
-// vrule is one lowered rule under analysis.
-type vrule struct {
-	rule   policy.Rule
+// fullWeek is the activation set of the zero (always active) window.
+var fullWeek = windowBits(policytext.Window{})
+
+// ruleSig is what analysis derives from a lowered rule alone: its
+// signature, window and the statement text it came from. It holds no line
+// or priority, so one statement lowering computes it once (sigs) for every
+// program that reuses the lowering.
+type ruleSig struct {
+	rule   *policy.Rule // its Origin may name an older line
 	action policy.Action
-	prio   int
-	line   int
 	stmt   string
-	tmpl   string
 	via    string
 	window policytext.Window
 	bits   *weekBits
 	mask   fieldMask
 	key    tupleKey
+}
+
+// vrule is one lowered rule under analysis: its signature at the line and
+// priority it has in the program analysed.
+type vrule struct {
+	*ruleSig
+	prio int
+	line int
+	tmpl string
+}
+
+// sigs returns the signatures of st's rules, computed once per lowering.
+func sigs(st *compile.StmtRules) []ruleSig {
+	return st.Memo(buildSigs).([]ruleSig)
+}
+
+func buildSigs(st *compile.StmtRules) any {
+	bits := fullWeek
+	if !st.Stmt.Window.IsZero() {
+		bits = windowBits(st.Stmt.Window)
+	}
+	out := make([]ruleSig, len(st.Rules))
+	for i := range st.Rules {
+		cr := &st.Rules[i]
+		s := &out[i]
+		s.rule, s.action, s.stmt, s.via = &cr.Rule, cr.Rule.Action, cr.Prov.Stmt, cr.Prov.Via
+		s.window, s.bits = st.Stmt.Window, bits
+		s.mask, s.key = ruleKey(&cr.Rule)
+	}
+	return out
+}
+
+// analysis is a program's document rules under analysis and their index.
+// It is kept with the program (compile.Program.Memo): the gate builds it
+// for the program a PUT proposes, and the next PUT's widening reads it as
+// the program replaced.
+type analysis struct {
+	rules  []*vrule
+	ix     *covererIndex
+	denies []*vrule
+}
+
+func analyse(p *compile.Program) *analysis {
+	return p.Memo(buildAnalysis).(*analysis)
+}
+
+func buildAnalysis(p *compile.Program) any {
+	rules := appendRules(nil, p.Doc, p.Stmts)
+	return &analysis{rules: rules, ix: buildIndex(rules), denies: denies(rules)}
 }
 
 // placeholderStmts lowers every template body with placeholder arguments
@@ -133,37 +188,29 @@ func placeholderStmts(doc *policytext.Document) []compile.StmtRules {
 }
 
 // appendRules appends the analysis rules of doc's statements stmts, each
-// at its pdp's priority.
-func appendRules(out []*vrule, doc *policytext.Document, stmts []compile.StmtRules, wc *windowCache) []*vrule {
+// at its pdp's priority in doc.
+func appendRules(out []*vrule, doc *policytext.Document, stmts []compile.StmtRules) []*vrule {
 	prio := make(map[string]int, len(doc.PDPs))
 	for _, p := range doc.PDPs {
 		prio[p.Name] = p.Priority
 	}
-	for _, st := range stmts {
-		for _, cr := range st.Rules {
-			r := cr.Rule
-			r.Priority = prio[r.PDP]
-			v := &vrule{
-				rule:   r,
-				action: r.Action,
-				prio:   r.Priority,
-				line:   cr.Prov.Line,
-				stmt:   cr.Prov.Stmt,
-				tmpl:   st.Template,
-				via:    cr.Prov.Via,
-				window: st.Stmt.Window,
-				bits:   wc.get(st.Stmt.Window),
-			}
-			v.mask, v.key = ruleKey(&v.rule)
+	n := 0
+	for i := range stmts {
+		n += len(stmts[i].Rules)
+	}
+	slab := make([]vrule, n)
+	out = slices.Grow(out, n)
+	for i := range stmts {
+		st := &stmts[i]
+		ss := sigs(st)
+		for j := range ss {
+			v := &slab[0]
+			slab = slab[1:]
+			*v = vrule{ruleSig: &ss[j], prio: prio[ss[j].rule.PDP], line: st.Rules[j].Prov.Line, tmpl: st.Template}
 			out = append(out, v)
 		}
 	}
 	return out
-}
-
-// docRules builds the analysis rules of a program's document statements.
-func docRules(p *compile.Program, wc *windowCache) []*vrule {
-	return appendRules(nil, p.Doc, p.Stmts, wc)
 }
 
 // covererIndex groups rules by (mask, key) so finding every rule whose
@@ -188,40 +235,58 @@ func buildIndex(rules []*vrule) *covererIndex {
 	return ix
 }
 
-// coverersOf returns every other rule whose match set contains v's:
-// rules over a field subset of v's mask whose probe key equals v's
+// indexes is a list of indexes read as one index over all their rules, in
+// order: masks in order of first appearance, rules of a slot index by
+// index.
+type indexes []*covererIndex
+
+// coverersOf returns every rule other than self whose match set contains
+// v's: rules over a field subset of v's mask whose probe key equals v's
 // values projected onto that subset.
-func (ix *covererIndex) coverersOf(v *vrule) []*vrule {
+func (ixs indexes) coverersOf(v, self *vrule) []*vrule {
 	var out []*vrule
-	for _, m := range ix.masks {
-		if !m.subsetOf(v.mask) {
-			continue
-		}
-		k, ok := project(v.mask, v.key, m)
-		if !ok {
-			continue
-		}
-		for _, a := range ix.byMask[m][k] {
-			if a != v {
-				out = append(out, a)
+	for i, ix := range ixs {
+		for _, m := range ix.masks {
+			if !m.subsetOf(v.mask) || ixs[:i].hasMask(m) {
+				continue
+			}
+			k, ok := project(v.mask, v.key, m)
+			if !ok {
+				continue
+			}
+			for _, ix := range ixs[i:] {
+				for _, a := range ix.byMask[m][k] {
+					if a != self {
+						out = append(out, a)
+					}
+				}
 			}
 		}
 	}
 	return out
 }
 
+func (ixs indexes) hasMask(m fieldMask) bool {
+	for _, ix := range ixs {
+		if _, ok := ix.byMask[m]; ok {
+			return true
+		}
+	}
+	return false
+}
+
 // sameMatchSet reports whether two rules match exactly the same flows at
 // the same times.
 func sameMatchSet(a, b *vrule) bool {
-	return a.mask == b.mask && a.key == b.key && *a.bits == *b.bits
+	return a.mask == b.mask && a.key == b.key && (a.bits == b.bits || *a.bits == *b.bits)
 }
 
-// coverage runs the shadow / conflict / redundancy analysis.
-func coverage(rules []*vrule) []Finding {
-	ix := buildIndex(rules)
+// coverage runs the shadow / conflict / redundancy analysis over rules,
+// every rule ixs indexes.
+func coverage(rules []*vrule, ixs indexes) []Finding {
 	var fs []Finding
 	for _, b := range rules {
-		covs := ix.coverersOf(b)
+		covs := ixs.coverersOf(b, b)
 		if len(covs) == 0 {
 			continue
 		}
@@ -253,6 +318,18 @@ func coverage(rules []*vrule) []Finding {
 	return fs
 }
 
+// unionContains reports whether the union of rules' windows contains w.
+func unionContains(rules []*vrule, w *weekBits) bool {
+	var union weekBits
+	for _, a := range rules {
+		if a.bits.contains(w) {
+			return true
+		}
+		union.or(a.bits)
+	}
+	return union.contains(w)
+}
+
 // shadowFinding reports b dead when the union of its higher-priority
 // coverers' windows contains b's own window: whenever b is active and a
 // flow matches it, some coverer matches too and outranks it.
@@ -260,11 +337,7 @@ func shadowFinding(b *vrule, higher []*vrule) (Finding, bool) {
 	if len(higher) == 0 {
 		return Finding{}, false
 	}
-	var union weekBits
-	for _, a := range higher {
-		union.or(a.bits)
-	}
-	if !union.contains(b.bits) {
+	if !unionContains(higher, b.bits) {
 		return Finding{}, false
 	}
 	// The dangerous direction: a deny whose coverage includes an allow is
@@ -301,11 +374,7 @@ func conflictFinding(b *vrule, equalDeny []*vrule) (Finding, bool) {
 	if len(equalDeny) == 0 {
 		return Finding{}, false
 	}
-	var union weekBits
-	for _, a := range equalDeny {
-		union.or(a.bits)
-	}
-	if !union.contains(b.bits) {
+	if !unionContains(equalDeny, b.bits) {
 		return Finding{}, false
 	}
 	rep := equalDeny[0]
@@ -355,7 +424,7 @@ func windows(stmts []compile.StmtRules, wc *windowCache) []Finding {
 				Stmt: policytext.FormatStmt(rs), Template: tmpl,
 				Message: fmt.Sprintf("temporal window %q can never be active", rs.Window),
 			})
-		case wc.full.contains(b) && b.contains(wc.full):
+		case b.contains(fullWeek):
 			fs = append(fs, Finding{
 				Check: CheckDeadWindow, Severity: SevWarn, Line: rs.Line,
 				Stmt: policytext.FormatStmt(rs), Template: tmpl,

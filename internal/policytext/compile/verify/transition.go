@@ -28,34 +28,82 @@ type Widening struct {
 
 // VerifyTransition computes the allow-set widening from prev to next:
 // every lowered allow in next that grants reachability prev did not. It
-// reads both programs' lowerings and lowers nothing. Template bodies are
+// reads both programs' lowerings and lowers nothing, and it examines only
+// the allows that can widen (transitionCandidates), so a one-line edit
+// re-checks a handful of allows, not every one. Template bodies are
 // excluded — they widen nothing until instantiated. Results are sorted by
 // line, then rule text.
 func VerifyTransition(prev, next *compile.Program) []Widening {
-	wc := newWindowCache()
-	nextRules := docRules(next, wc)
-	nextDenies := buildIndex(denies(nextRules))
-	// A deny of next with d's exact match set, at a priority that still
-	// beats n, over at least d's window, still blocks what d blocked.
-	return widen(docRules(prev, wc), nextRules, func(d, n *vrule) bool {
-		for _, d2 := range nextDenies.byMask[d.mask][d.key] {
-			if d2.prio >= n.prio && d2.bits.contains(d.bits) {
+	pa, na := analyse(prev), analyse(next)
+	// held reports whether next has a deny with d's exact match set, at
+	// priority ≥ prio, over at least d's window: it still blocks what d
+	// blocked of an allow at priority ≤ prio.
+	held := func(d *vrule, prio int) bool {
+		for _, d2 := range na.ix.byMask[d.mask][d.key] {
+			if d2.action == policy.ActionDeny && d2.prio >= prio && d2.bits.contains(d.bits) {
 				return true
 			}
 		}
 		return false
-	})
+	}
+	allows := transitionCandidates(pa.ix, pa.denies, na.rules, held)
+	return widen(pa.ix, pa.denies, allows, func(d, n *vrule) bool { return held(d, n.prio) })
 }
 
-// widen is VerifyTransition over analysis rules. stillDenied(d, n) reports
-// whether the next document still blocks what previous deny d blocked of
-// widening allow n.
-func widen(prevRules, nextRules []*vrule, stillDenied func(d, n *vrule) bool) []Widening {
-	ix := buildIndex(prevRules)
-	prevDenies := denies(prevRules)
-
-	var out []Widening
+// transitionCandidates returns the allows of nextRules that widen can
+// flag: an allow prev holds no twin for — an allow with its match set, at
+// ≥ its priority, over ≥ its window — and an allow overlapping a deny of
+// prev that next no longer holds at ≥ the deny's priority over ≥ its
+// window. Any other allow was allowed before at a priority ≥ its own, and
+// every prev deny that outranked that was at ≥ its priority and is still
+// held, so widen passes it over.
+func transitionCandidates(prevIx *covererIndex, prevDenies, nextRules []*vrule, held func(d *vrule, prio int) bool) []*vrule {
+	var lost []*vrule
+	for _, d := range prevDenies {
+		if !held(d, d.prio) {
+			lost = append(lost, d)
+		}
+	}
+	var out []*vrule
 	for _, n := range nextRules {
+		if n.action != policy.ActionAllow {
+			continue
+		}
+		if !hasTwin(prevIx, n) || overlapsAny(lost, n) {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// hasTwin reports whether ix holds an allow with n's match set at ≥ n's
+// priority over ≥ n's window.
+func hasTwin(ix *covererIndex, n *vrule) bool {
+	for _, p := range ix.byMask[n.mask][n.key] {
+		if p.action == policy.ActionAllow && p.prio >= n.prio && p.bits.contains(n.bits) {
+			return true
+		}
+	}
+	return false
+}
+
+// overlapsAny reports whether a deny of ds at ≥ n's priority overlaps n.
+func overlapsAny(ds []*vrule, n *vrule) bool {
+	for _, d := range ds {
+		if d.prio >= n.prio && d.rule.Overlaps(n.rule) && d.bits.intersects(n.bits) {
+			return true
+		}
+	}
+	return false
+}
+
+// widen reports the widenings among next's allows: ix indexes the
+// previous program's analysis rules and prevDenies lists its denies.
+// stillDenied(d, n) reports whether the next document still blocks what
+// previous deny d blocked of widening allow n.
+func widen(ix *covererIndex, prevDenies, allows []*vrule, stillDenied func(d, n *vrule) bool) []Widening {
+	var out []Widening
+	for _, n := range allows {
 		if n.action != policy.ActionAllow {
 			continue
 		}
@@ -64,7 +112,7 @@ func widen(prevRules, nextRules []*vrule, stillDenied func(d, n *vrule) bool) []
 		var allowBits weekBits
 		covered := false
 		effPrio := 0
-		for _, p := range ix.coverersOf(n) {
+		for _, p := range (indexes{ix}).coverersOf(n, nil) {
 			if p.action != policy.ActionAllow {
 				continue
 			}
@@ -76,7 +124,7 @@ func widen(prevRules, nextRules []*vrule, stillDenied func(d, n *vrule) bool) []
 		}
 		if !covered || !allowBits.contains(n.bits) {
 			out = append(out, Widening{
-				Line: n.line, Stmt: n.stmt, Rule: policytext.FormatRule(n.rule),
+				Line: n.line, Stmt: n.stmt, Rule: policytext.FormatRule(*n.rule),
 				Message: "grants reachability no previous allow covered",
 			})
 			continue
@@ -88,14 +136,14 @@ func widen(prevRules, nextRules []*vrule, stillDenied func(d, n *vrule) bool) []
 			if d.prio < effPrio {
 				continue
 			}
-			if !d.rule.Overlaps(&n.rule) || !d.bits.intersects(n.bits) {
+			if !d.rule.Overlaps(n.rule) || !d.bits.intersects(n.bits) {
 				continue
 			}
 			if stillDenied(d, n) {
 				continue
 			}
 			out = append(out, Widening{
-				Line: n.line, Stmt: n.stmt, Rule: policytext.FormatRule(n.rule), PrevLine: d.line,
+				Line: n.line, Stmt: n.stmt, Rule: policytext.FormatRule(*n.rule), PrevLine: d.line,
 				Message: fmt.Sprintf("flows previously blocked by deny %q (line %d, priority %d) are now allowed",
 					d.stmt, d.line, d.prio),
 			})

@@ -153,10 +153,9 @@ func TestTransitionDenyIndexMatchesScan(t *testing.T) {
 	var calls, denied int
 	check := func(name string, prev, next *compile.Program) {
 		t.Helper()
-		wc := newWindowCache()
-		prevRules, nextRules := docRules(prev, wc), docRules(next, wc)
+		prevRules, nextRules := analyse(prev).rules, analyse(next).rules
 		linear := deniedInNextLinear(nextRules)
-		ref := widen(prevRules, nextRules, func(d, n *vrule) bool {
+		ref := widen(buildIndex(prevRules), denies(prevRules), nextRules, func(d, n *vrule) bool {
 			calls++
 			if linear(d, n) {
 				denied++
@@ -204,4 +203,44 @@ func TestTransitionDenyIndexMatchesScan(t *testing.T) {
 	if calls == 0 || denied == 0 || denied == calls {
 		t.Fatalf("deny check exercised %d times, %d still denied: the edits miss a branch", calls, denied)
 	}
+}
+
+// TestTransitionCandidatesMatchFullWiden: VerifyTransition examines only
+// its candidate allows, yet over seeded one-line edits of a document whose
+// denies carve holes in broad allows, in both directions, it reports
+// exactly what widen reports over every allow of the next document. The
+// edits must include allows that did not change but lost a deny: removing
+// a deny widens them, and they are the candidates a delta-only check
+// would miss.
+func TestTransitionCandidatesMatchFullWiden(t *testing.T) {
+	base := bigDoc(1000) + "pdp ops priority 5\nallow to host vault\nallow proto tcp\n"
+	baseProg := mustCompile(t, base)
+	rng := rand.New(rand.NewSource(44))
+	unchanged := 0
+	for i := 0; i < 60; i++ {
+		doc, err := policytext.Parse(strings.NewReader(oneLineEdit(rng, base)))
+		if err != nil {
+			continue
+		}
+		prog := compile.Compile(doc)
+		for _, pair := range [][2]*compile.Program{{baseProg, prog}, {prog, baseProg}} {
+			prev, next := analyse(pair[0]), analyse(pair[1])
+			stillDenied := deniedInNextLinear(next.rules)
+			ref := widen(prev.ix, prev.denies, next.rules, stillDenied)
+			if got := VerifyTransition(pair[0], pair[1]); fmt.Sprint(got) != fmt.Sprint(ref) {
+				t.Fatalf("edit %d: candidate widenings differ from the full pass\ncandidates: %+v\nfull:       %+v", i, got, ref)
+			}
+			var twinned []*vrule
+			for _, n := range next.rules {
+				if n.action == policy.ActionAllow && hasTwin(prev.ix, n) {
+					twinned = append(twinned, n)
+				}
+			}
+			unchanged += len(widen(prev.ix, prev.denies, twinned, stillDenied))
+		}
+	}
+	if unchanged == 0 {
+		t.Fatal("no edit widened an allow the previous document already held")
+	}
+	t.Logf("%d widenings of unchanged allows", unchanged)
 }

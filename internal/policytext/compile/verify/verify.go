@@ -25,13 +25,17 @@
 //	             parameters.
 //
 // Engine.Apply runs Gate as its check: error findings reject the document
-// atomically with per-finding source lines; warnings annotate apply/diff
-// responses and dfictl output.
+// atomically with per-finding source lines; the findings come back with
+// the apply's delta, so warnings annotate apply responses without a second
+// analysis, and dry runs, diffs and dfictl call Findings.
+//
+// Each rule's signature is computed once per statement lowering and kept
+// with it (compile.StmtRules.Memo), so analysing a program Recompile built
+// from the running one re-derives only the edited statements' signatures.
 package verify
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"github.com/dfi-sdn/dfi/internal/policytext"
@@ -39,11 +43,11 @@ import (
 )
 
 // Severity classifies a finding: error blocks Engine.Apply, warn annotates.
-type Severity string
+type Severity = compile.Severity
 
 const (
-	SevWarn  Severity = "warn"
-	SevError Severity = "error"
+	SevWarn  = compile.SevWarn
+	SevError = compile.SevError
 )
 
 // Check identifiers, one per analysis class.
@@ -55,33 +59,9 @@ const (
 	CheckStructural = "structural"
 )
 
-// Finding is one diagnostic about a policy document.
-type Finding struct {
-	Check    string   `json:"check"`
-	Severity Severity `json:"severity"`
-	// Line is the 1-based source line of the flagged statement or
-	// declaration (for template-body statements, the body line).
-	Line int `json:"line"`
-	// Stmt is the canonical text of the flagged statement ("" for
-	// declaration-level findings).
-	Stmt string `json:"stmt,omitempty"`
-	// Template tags findings inside a template body with the placeholder
-	// instance they were analyzed under, e.g. "quarantine($h)".
-	Template string `json:"template,omitempty"`
-	// Via is the group-expansion chain of the specific lowered rule the
-	// finding is about, when the statement fans out.
-	Via string `json:"via,omitempty"`
-	// OtherLine is the line of the counterpart rule (the coverer for
-	// shadow/conflict/redundant), 0 when there is none.
-	OtherLine int    `json:"otherLine,omitempty"`
-	Message   string `json:"message"`
-}
-
-// String renders the finding in the dfilint-style "line N: [check]" shape;
-// callers holding a filename prefix it.
-func (f Finding) String() string {
-	return fmt.Sprintf("line %d: [%s] %s: %s", f.Line, f.Check, f.Severity, f.Message)
-}
+// Finding is one diagnostic about a policy document; the engine's gate
+// hands it back with the delta, hence its home in package compile.
+type Finding = compile.Finding
 
 // Document analyzes a parsed document; see Findings.
 func Document(doc *policytext.Document) []Finding {
@@ -93,26 +73,33 @@ func Document(doc *policytext.Document) []Finding {
 // lower (unknown groups, cycles) contribute no findings: those are compile
 // errors and Program.Err reports them.
 func Findings(p *compile.Program) []Finding {
+	a := analyse(p)
+	tmpl := placeholderStmts(p.Doc)
+	tmplRules := appendRules(nil, p.Doc, tmpl)
+	ixs := indexes{a.ix, buildIndex(tmplRules)}
+	fs := coverage(a.rules, ixs)
+	fs = append(fs, coverage(tmplRules, ixs)...)
 	wc := newWindowCache()
-	stmts := append(slices.Clip(p.Stmts), placeholderStmts(p.Doc)...)
-	var fs []Finding
-	fs = append(fs, coverage(appendRules(nil, p.Doc, stmts, wc))...)
-	fs = append(fs, windows(stmts, wc)...)
+	fs = append(fs, windows(p.Stmts, wc)...)
+	fs = append(fs, windows(tmpl, wc)...)
 	fs = append(fs, structural(p.Doc)...)
 	return dedupe(fs)
 }
 
 // Check gates a parsed document; see Gate.
 func Check(doc *policytext.Document) error {
-	return Gate(compile.Compile(doc))
+	_, err := Gate(compile.Compile(doc))
+	return err
 }
 
-// Gate is the Engine.SetCheck hook: it returns a policytext.ErrorList
-// carrying one entry per error-severity finding (warnings pass), or nil.
-// The entry lines flow into the admin API's 422 envelope unchanged.
-func Gate(p *compile.Program) error {
+// Gate is the Engine.SetCheck hook: it returns the program's findings and
+// a policytext.ErrorList carrying one entry per error-severity finding
+// (warnings pass), or a nil error. The entry lines flow into the admin
+// API's 422 envelope unchanged.
+func Gate(p *compile.Program) ([]Finding, error) {
+	fs := Findings(p)
 	var errs policytext.ErrorList
-	for _, f := range Findings(p) {
+	for _, f := range fs {
 		if f.Severity != SevError {
 			continue
 		}
@@ -122,9 +109,9 @@ func Gate(p *compile.Program) error {
 		})
 	}
 	if len(errs) > 0 {
-		return errs
+		return fs, errs
 	}
-	return nil
+	return fs, nil
 }
 
 // HasErrors reports whether any finding is error-severity.

@@ -44,6 +44,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"github.com/dfi-sdn/dfi/internal/core/policy"
 	"github.com/dfi-sdn/dfi/internal/netpkt"
@@ -204,6 +205,11 @@ type RuleStmt struct {
 	Dst    EndpointRef
 	Window Window
 	Line   int
+	// Text is the statement as written: its tokens joined by single
+	// spaces. Two statements with equal Text (under one pdp) parse alike,
+	// so the compile stage keys lowering reuse on it before falling back
+	// to the canonical FormatStmt text.
+	Text string
 }
 
 // Document is a parsed policy file.
@@ -350,7 +356,11 @@ func tokenize(line string) []string {
 	if i := strings.IndexByte(line, '#'); i >= 0 {
 		line = line[:i]
 	}
+	if !strings.ContainsAny(line, "{}();,") && utf8.ValidString(line) {
+		return strings.Fields(line) // nothing to detach, nothing to re-encode
+	}
 	var b strings.Builder
+	b.Grow(3 * len(line))
 	for _, r := range line {
 		switch r {
 		case '{', '}', '(', ')', ';', ',':
@@ -622,7 +632,7 @@ func (p *parser) templateTokens(lineNo int, tokens []string) []string {
 // the caller to attribute). Exported for the compile stage, which parses
 // template bodies after parameter substitution.
 func ParseRuleStmt(tokens []string, line int) (RuleStmt, *ParseError) {
-	stmt := RuleStmt{Line: line}
+	stmt := RuleStmt{Line: line, Text: strings.Join(tokens, " ")}
 	switch tokens[0] {
 	case "allow":
 		stmt.Action = policy.ActionAllow

@@ -60,7 +60,7 @@ func TestRevocationTraceIsConnected(t *testing.T) {
 		// A security component reacting to the same sensor event the entity
 		// manager consumes: revoke the rule, propagating the event's trace.
 		sub, err := sys.EventBus().Subscribe(sensors.TopicDHCP, func(ev bus.Event) {
-			if _, err := pm.ApplyCtx(ev.Trace, nil, []policy.RuleID{id}); err != nil {
+			if _, _, err := pm.ApplyCtx(ev.Trace, nil, []policy.RuleID{id}); err != nil {
 				t.Errorf("revoke: %v", err)
 			}
 		})
