@@ -83,8 +83,6 @@ type (
 	SRBACPDP = pdp.SRBAC
 	// ATRBACPDP is the authentication-triggered RBAC PDP.
 	ATRBACPDP = pdp.ATRBAC
-	// QuarantinePDP isolates compromised hosts.
-	QuarantinePDP = pdp.Quarantine
 )
 
 // Addressing.

@@ -15,7 +15,6 @@ import (
 
 	dfi "github.com/dfi-sdn/dfi"
 	"github.com/dfi-sdn/dfi/internal/bufpipe"
-	"github.com/dfi-sdn/dfi/internal/cbench"
 	"github.com/dfi-sdn/dfi/internal/controller"
 	"github.com/dfi-sdn/dfi/internal/core/entity"
 	"github.com/dfi-sdn/dfi/internal/core/pcp"
@@ -27,102 +26,56 @@ import (
 	"github.com/dfi-sdn/dfi/internal/testbed"
 )
 
-// newBenchSystem wires a calibrated (or native) DFI control plane fronting
-// a reactive controller, and returns a ready cbench attached to it.
-func newBenchSystem(b *testing.B, calibrated bool, queueDepth, workers int) (*dfi.System, *cbench.Bench) {
-	b.Helper()
-	ctl := controller.New(controller.Config{MaxConcurrent: 256})
-	opts := []dfi.Option{
-		dfi.WithControllerDialer(func() (io.ReadWriteCloser, error) {
-			a, c := bufpipe.New()
-			go func() { _ = ctl.Serve(c) }()
-			return a, nil
-		}),
-		dfi.WithAdmissionQueue(queueDepth, workers),
-	}
-	if calibrated {
-		binding, policyQ, pcpProc, proxyFwd := dfi.PaperLatencyProfile(42)
-		opts = append(opts, dfi.WithLatencyProfile(binding, policyQ, pcpProc, proxyFwd))
-	}
-	sys, err := dfi.New(opts...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(sys.Close)
-	swEnd, cpEnd := bufpipe.New()
-	go func() { _ = sys.ServeSwitch(cpEnd) }()
-	bench, err := cbench.New(swEnd, cbench.Config{Seed: 42})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := bench.WaitReady(5 * time.Second); err != nil {
-		b.Fatal(err)
-	}
-	return sys, bench
-}
-
-// BenchmarkTable1_Latency reproduces Table I's flow-start latency under no
-// load (paper: 5.73 ms ± 3.39 ms on the calibrated profile).
-func BenchmarkTable1_Latency(b *testing.B) {
+// BenchmarkTable1 reproduces Table I through experiments.RunTable1: the
+// flow-start latency under no load (paper: 5.73 ms ± 3.39 ms on the
+// calibrated profile) and one saturation-throughput trial (paper: 1350 ±
+// 39 flows/sec).
+func BenchmarkTable1(b *testing.B) {
 	for _, calibrated := range []bool{true, false} {
 		name := "native"
 		if calibrated {
 			name = "calibrated"
 		}
 		b.Run(name, func(b *testing.B) {
-			_, bench := newBenchSystem(b, calibrated, 512, 8)
-			b.ResetTimer()
-			stats, err := bench.Latency(b.N)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(stats.Mean())/1e6, "ms/flow")
-			b.ReportMetric(float64(stats.StdDev())/1e6, "ms/σ")
-		})
-	}
-}
-
-// BenchmarkTable1_Throughput reproduces Table I's saturation throughput
-// (paper: 1350 ± 39 flows/sec on the calibrated profile).
-func BenchmarkTable1_Throughput(b *testing.B) {
-	for _, calibrated := range []bool{true, false} {
-		name := "native"
-		if calibrated {
-			name = "calibrated"
-		}
-		b.Run(name, func(b *testing.B) {
-			var total float64
+			var latMs, stdMs, rate float64
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				_, bench := newBenchSystem(b, calibrated, 512, 8)
-				b.StartTimer()
-				rate, err := bench.Throughput(time.Second, 5000)
+				res, err := experiments.RunTable1(experiments.MicrobenchConfig{
+					Calibrated:    calibrated,
+					Seed:          42,
+					Trials:        1,
+					TrialDuration: time.Second,
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				total += rate
+				latMs += float64(res.Latency.Mean) / 1e6
+				stdMs += float64(res.Latency.StdDev) / 1e6
+				rate += res.ThroughputMean
 			}
-			b.ReportMetric(total/float64(b.N), "flows/sec")
+			n := float64(b.N)
+			b.ReportMetric(latMs/n, "ms/flow")
+			b.ReportMetric(stdMs/n, "ms/σ")
+			b.ReportMetric(rate/n, "flows/sec")
 		})
 	}
 }
 
 // BenchmarkTable2_Breakdown reproduces Table II's per-stage latency
-// breakdown (paper: binding 2.41 ms, policy 2.52 ms, other PCP 0.39 ms,
-// proxy 0.16 ms).
+// breakdown through experiments.RunTable2 (paper: binding 2.41 ms, policy
+// 2.52 ms, other PCP 0.39 ms, proxy 0.16 ms).
 func BenchmarkTable2_Breakdown(b *testing.B) {
-	sys, bench := newBenchSystem(b, true, 512, 8)
-	b.ResetTimer()
-	if _, err := bench.Latency(b.N); err != nil {
+	res, err := experiments.RunTable2(experiments.MicrobenchConfig{
+		Calibrated: true,
+		Seed:       42,
+		Flows:      b.N,
+	})
+	if err != nil {
 		b.Fatal(err)
 	}
-	b.StopTimer()
-	m := sys.PCP().Metrics()
-	b.ReportMetric(float64(m.BindingQuery.Mean())/1e6, "ms/binding")
-	b.ReportMetric(float64(m.PolicyQuery.Mean())/1e6, "ms/policy")
-	b.ReportMetric(float64(m.OtherPCP.Mean())/1e6, "ms/otherPCP")
-	b.ReportMetric(float64(sys.Proxy().Overhead().Mean())/1e6, "ms/proxy")
+	b.ReportMetric(float64(res.BindingQuery.Mean)/1e6, "ms/binding")
+	b.ReportMetric(float64(res.PolicyQuery.Mean)/1e6, "ms/policy")
+	b.ReportMetric(float64(res.OtherPCP.Mean)/1e6, "ms/otherPCP")
+	b.ReportMetric(float64(res.Proxy.Mean)/1e6, "ms/proxy")
 }
 
 // BenchmarkFig4_TTFB reproduces Figure 4: TTFB for new flows vs background
@@ -147,33 +100,28 @@ func BenchmarkFig4_TTFB(b *testing.B) {
 	}
 }
 
-// BenchmarkFig5a_Worm reproduces Figure 5a: infections from the NotPetya
-// surrogate under each policy condition with a 09:00 foothold (paper:
-// Baseline all 92 in ~2 min; S-RBAC all in ~25 min; AT-RBAC incomplete and
-// slowest).
+// BenchmarkFig5a_Worm reproduces Figure 5a through experiments.RunFig5a:
+// infections from the NotPetya surrogate under each policy condition with
+// a 09:00 foothold (paper: Baseline all 92 in ~2 min; S-RBAC all in ~25
+// min; AT-RBAC incomplete and slowest).
 func BenchmarkFig5a_Worm(b *testing.B) {
-	for _, cond := range []testbed.Condition{
-		testbed.ConditionBaseline, testbed.ConditionSRBAC, testbed.ConditionATRBAC,
-	} {
-		b.Run(cond.String(), func(b *testing.B) {
-			var infected, firstMs float64
-			for i := 0; i < b.N; i++ {
-				tb, err := testbed.New(testbed.Config{Condition: cond, Seed: 3})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := tb.RunInfection(tb.FootholdHost(9*time.Hour), 9*time.Hour, 20*time.Hour)
-				if err != nil {
-					b.Fatal(err)
-				}
-				infected += float64(len(res.Infections))
-				if first, ok := res.FirstSpread(); ok {
-					firstMs += float64(first) / 1e6
-				}
+	infected := make([]float64, 3)
+	firstS := make([]float64, 3)
+	for i := 0; i < b.N; i++ {
+		res, err := experiments.RunFig5a(experiments.Fig5aConfig{Seed: 3})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for c, r := range []*testbed.Result{res.Baseline, res.SRBAC, res.ATRBAC} {
+			infected[c] += float64(len(r.Infections))
+			if first, ok := r.FirstSpread(); ok {
+				firstS[c] += first.Seconds()
 			}
-			b.ReportMetric(infected/float64(b.N), "infected")
-			b.ReportMetric(firstMs/float64(b.N)/1e3, "s/first-spread")
-		})
+		}
+	}
+	for c, name := range []string{"baseline", "srbac", "atrbac"} {
+		b.ReportMetric(infected[c]/float64(b.N), name+"-infected")
+		b.ReportMetric(firstS[c]/float64(b.N), name+"-s/first-spread")
 	}
 }
 
@@ -201,20 +149,26 @@ func BenchmarkFig5b_FootholdHour(b *testing.B) {
 
 // BenchmarkAblation_ParallelPCP measures saturation throughput as PCP
 // workers scale — the paper's suggested path to higher loads ("multiple
-// DFI Proxy and PCP instances").
+// DFI Proxy and PCP instances") — through experiments.RunTable1's
+// throughput trial.
 func BenchmarkAblation_ParallelPCP(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var total float64
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				_, bench := newBenchSystem(b, true, 512, workers)
-				b.StartTimer()
-				rate, err := bench.Throughput(time.Second, 8000)
+				res, err := experiments.RunTable1(experiments.MicrobenchConfig{
+					Flows:         1,
+					Trials:        1,
+					TrialDuration: time.Second,
+					OfferedRate:   8000,
+					Calibrated:    true,
+					Seed:          42,
+					Workers:       workers,
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				total += rate
+				total += res.ThroughputMean
 			}
 			b.ReportMetric(total/float64(b.N), "flows/sec")
 		})
@@ -319,10 +273,10 @@ func (c *virtualClock) Sleep(d time.Duration)   { c.now = c.now.Add(d) }
 func (c *virtualClock) advance(d time.Duration) { c.now = c.now.Add(d) }
 
 func installAllow(b *testing.B, sw interface {
-	ApplyFlowMod(*openflow.FlowMod) error
+	WriteFlowMod(*openflow.FlowMod) error
 }, hardTimeout uint16) {
 	b.Helper()
-	err := sw.ApplyFlowMod(&openflow.FlowMod{
+	err := sw.WriteFlowMod(&openflow.FlowMod{
 		TableID: 0, Command: openflow.FlowModAdd, Priority: 100,
 		HardTimeout: hardTimeout,
 		BufferID:    openflow.NoBuffer,
@@ -571,31 +525,29 @@ func BenchmarkPCP_AdmissionHotPath(b *testing.B) {
 }
 
 // BenchmarkExtension_IncidentResponse quantifies the paper's closing claim
-// (§V-B): AT-RBAC's slowdown buys an incident-response team enough time to
-// contain the outbreak — a 5-minute quarantine-after-detection leaves the
-// fast conditions fully infected but collapses AT-RBAC's final count.
+// (§V-B) through experiments.RunIncidentResponse: AT-RBAC's slowdown buys
+// an incident-response team enough time to contain the outbreak — a
+// 5-minute quarantine-after-detection leaves the fast conditions fully
+// infected but collapses AT-RBAC's final count.
 func BenchmarkExtension_IncidentResponse(b *testing.B) {
-	for _, cond := range []testbed.Condition{
-		testbed.ConditionBaseline, testbed.ConditionSRBAC, testbed.ConditionATRBAC,
-	} {
-		b.Run(cond.String(), func(b *testing.B) {
-			var infected float64
-			for i := 0; i < b.N; i++ {
-				tb, err := testbed.New(testbed.Config{
-					Condition:       cond,
-					Seed:            3,
-					QuarantineDelay: 5 * time.Minute,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := tb.RunInfection(tb.FootholdHost(9*time.Hour), 9*time.Hour, 17*time.Hour)
-				if err != nil {
-					b.Fatal(err)
-				}
-				infected += float64(len(res.Infections))
-			}
-			b.ReportMetric(infected/float64(b.N), "infected-with-5m-IR")
+	infected := map[string]float64{}
+	for i := 0; i < b.N; i++ {
+		res, err := experiments.RunIncidentResponse(experiments.IncidentConfig{
+			Seed:   3,
+			Delays: []time.Duration{5 * time.Minute},
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, p := range res.Points {
+			ir := "no-IR"
+			if p.Delay > 0 {
+				ir = "5m-IR"
+			}
+			infected[p.Condition.String()+"-infected-"+ir] += float64(p.Infected)
+		}
+	}
+	for unit, n := range infected {
+		b.ReportMetric(n/float64(b.N), unit)
 	}
 }

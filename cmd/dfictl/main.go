@@ -10,7 +10,6 @@
 //	dfictl policy apply -dry-run corp.pol
 //	dfictl policy apply corp.pol        # atomic document replace
 //	dfictl bind user-host alice alice-laptop
-//	dfictl stats
 //	dfictl metrics
 //	dfictl slo              # service-level-objective verdicts
 //	dfictl spans            # recent spans, admissions included
@@ -48,7 +47,7 @@ func main() {
 
 func run(client *admin.Client, args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: dfictl policy|rules|bind|switches|flows|stats|metrics|slo|spans|audit")
+		return fmt.Errorf("usage: dfictl policy|rules|bind|switches|flows|metrics|slo|spans|audit")
 	}
 	switch args[0] {
 	case "rules":
@@ -109,22 +108,6 @@ func run(client *admin.Client, args []string) error {
 			fmt.Printf("table=%d prio=%-5d cookie=%-6d %-6s pkts=%-8d %s\n",
 				f.TableID, f.Priority, f.Cookie, f.Action, f.Packets, f.Match)
 		}
-		return nil
-
-	case "stats":
-		stats, err := client.Stats()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("rules:            %d\n", stats.Rules)
-		fmt.Printf("proxy packet-ins: %d (denied %d, dropped %d, forwarded %d)\n",
-			stats.ProxyPacketIns, stats.ProxyDenied, stats.ProxyDropped, stats.ProxyForwarded)
-		fmt.Printf("pcp processed:    %d (allowed %d, denied %d, queue drops %d)\n",
-			stats.PCPProcessed, stats.PCPAllowed, stats.PCPDenied, stats.PCPDropped)
-		fmt.Printf("decision cache:   %d hits, %d misses (%d stale)\n",
-			stats.PCPCacheHits, stats.PCPCacheMisses, stats.PCPCacheStale)
-		fmt.Printf("latency:          %.2fms total (binding %.2fms, policy %.2fms)\n",
-			stats.MeanLatencyMs, stats.BindingQueryMs, stats.PolicyQueryMs)
 		return nil
 
 	case "metrics":

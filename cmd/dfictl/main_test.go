@@ -76,9 +76,9 @@ func TestRoundTripOverV1(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out = capture(t, func() error { return run(client, []string{"stats"}) })
-	if !strings.Contains(out, "rules:            1") {
-		t.Fatalf("stats output = %q", out)
+	out = capture(t, func() error { return run(client, []string{"metrics"}) })
+	if !strings.Contains(out, "dfi_policy_rules 1\n") {
+		t.Fatalf("metrics output = %q", out)
 	}
 
 	// The per-rule write commands are gone; policy changes only through

@@ -36,16 +36,15 @@ import (
 
 func main() {
 	var (
-		listenAddr  = flag.String("listen", ":6653", "address to accept OpenFlow switch connections on")
-		ctlAddr     = flag.String("controller", "127.0.0.1:6654", "SDN controller address to dial per switch")
-		adminAddr   = flag.String("admin", "127.0.0.1:8181", "admin API address (empty to disable)")
-		sensorAddr  = flag.String("sensor-listen", "", "address to accept remote sensor event streams (length-prefixed JSON; empty to disable)")
-		bootstrap   = flag.String("bootstrap", "default-deny", "initial policy: default-deny|allow-all")
-		policyFile  = flag.String("policy-file", "", "policy document to compile at startup (see internal/policytext)")
-		policyWatch = flag.Duration("policy-watch", 0, "re-apply -policy-file when its mtime changes, polling at this interval (0 disables)")
-		quarantine  = flag.String("quarantine-template", "", "policy template instantiated as <name>(host) on compromise events")
-		queueDepth  = flag.Int("queue", 512, "PCP admission queue depth")
-		workers     = flag.Int("workers", 8, "PCP worker count")
+		listenAddr = flag.String("listen", ":6653", "address to accept OpenFlow switch connections on")
+		ctlAddr    = flag.String("controller", "127.0.0.1:6654", "SDN controller address to dial per switch")
+		adminAddr  = flag.String("admin", "127.0.0.1:8181", "admin API address (empty to disable)")
+		sensorAddr = flag.String("sensor-listen", "", "address to accept remote sensor event streams (length-prefixed JSON; empty to disable)")
+		bootstrap  = flag.String("bootstrap", "default-deny", "initial policy: default-deny|allow-all")
+		policyFile = flag.String("policy-file", "", "policy document to compile at startup (see internal/policytext)")
+		quarantine = flag.String("quarantine-template", "", "policy template instantiated as <name>(host) on compromise events")
+		queueDepth = flag.Int("queue", 512, "PCP admission queue depth")
+		workers    = flag.Int("workers", 8, "PCP worker count")
 
 		auditLog      = flag.String("audit-log", "", "path of the hash-chained enforcement audit log (empty to disable)")
 		auditMaxBytes = flag.Int64("audit-max-bytes", 0, "audit log rotation threshold in bytes (0 = 64 MiB default)")
@@ -66,8 +65,8 @@ func main() {
 		listenAddr: *listenAddr, ctlAddr: *ctlAddr, adminAddr: *adminAddr,
 		sensorAddr: *sensorAddr,
 		bootstrap:  *bootstrap, policyFile: *policyFile,
-		policyWatch: *policyWatch, quarantineTmpl: *quarantine,
-		queueDepth: *queueDepth, workers: *workers,
+		quarantineTmpl: *quarantine,
+		queueDepth:     *queueDepth, workers: *workers,
 		auditLog: *auditLog, auditMaxBytes: *auditMaxBytes, pprof: *pprofOn,
 		sloInterval: *sloInterval,
 		tlsCert:     *tlsCert, tlsKey: *tlsKey, tlsCA: *tlsCA,
@@ -83,7 +82,6 @@ type daemonConfig struct {
 	listenAddr, ctlAddr, adminAddr string
 	sensorAddr                     string
 	bootstrap, policyFile          string
-	policyWatch                    time.Duration
 	quarantineTmpl                 string
 	queueDepth, workers            int
 	auditLog                       string
@@ -93,36 +91,6 @@ type daemonConfig struct {
 	tlsCert, tlsKey, tlsCA         string
 	ctlCA, ctlCert, ctlKey         string
 	ctlTLSName                     string
-}
-
-// watchPolicyFile polls the policy file's mtime and re-applies the
-// document when it changes. A file that fails to parse/compile is logged
-// and skipped; the running policy stays on the last good document (the
-// apply is atomic), and the watcher keeps polling.
-func watchPolicyFile(sys *dfi.System, path string, interval time.Duration) {
-	var lastMod time.Time
-	if fi, err := os.Stat(path); err == nil {
-		lastMod = fi.ModTime()
-	}
-	for {
-		time.Sleep(interval)
-		fi, err := os.Stat(path)
-		if err != nil || !fi.ModTime().After(lastMod) {
-			continue
-		}
-		lastMod = fi.ModTime()
-		src, err := os.ReadFile(path)
-		if err != nil {
-			log.Printf("policy watch: read %s: %v", path, err)
-			continue
-		}
-		delta, err := sys.PolicyEngine().SetSource(string(src))
-		if err != nil {
-			log.Printf("policy watch: %s rejected, keeping previous policy:\n%v", path, err)
-			continue
-		}
-		log.Printf("policy watch: re-applied %s (+%d/-%d rules)", path, len(delta.Insert), len(delta.Revoke))
-	}
 }
 
 func run(cfg daemonConfig) error {
@@ -194,10 +162,6 @@ func run(cfg daemonConfig) error {
 			return fmt.Errorf("policy file %s:\n%v", policyFile, err)
 		}
 		log.Printf("compiled %s: %d rule(s) installed", policyFile, len(delta.Insert))
-		if cfg.policyWatch > 0 {
-			go watchPolicyFile(sys, policyFile, cfg.policyWatch)
-			log.Printf("watching %s for changes every %s", policyFile, cfg.policyWatch)
-		}
 	}
 
 	if cfg.quarantineTmpl != "" {

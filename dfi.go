@@ -18,9 +18,9 @@
 //	...
 //	go sys.ServeSwitch(switchConn) // one per switch
 //
-// Policies come from PDPs: register one of the provided PDPs (AllowAll,
-// SRBAC, ATRBAC, Quarantine) or emit rules directly through
-// sys.Policy().
+// Policies come from a policy document (WithPolicySource, PolicyEngine)
+// or from PDPs: register one of the provided PDPs (AllowAll, SRBAC,
+// ATRBAC) or emit rules directly through sys.Policy().
 package dfi
 
 import (

@@ -40,6 +40,7 @@ func run(seed int64, hour int) error {
 		}
 		foothold := tb.FootholdHost(footholdAt)
 		res, err := tb.RunInfection(foothold, footholdAt, footholdAt+8*time.Hour)
+		tb.Close()
 		if err != nil {
 			return err
 		}

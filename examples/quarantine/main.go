@@ -1,26 +1,32 @@
-// Quarantine-upon-compromise: one of the PDP types the paper's
-// architecture is built to host (§III-B). An allow-all baseline keeps the
-// network open; when a sensor flags a host as compromised, the quarantine
-// PDP emits top-priority deny rules that isolate it — and because the
-// Policy Manager's conflict check flushes the lower-priority allow rules'
-// cached flow rules, even flows already in progress are cut mid-stream.
+// Quarantine-upon-compromise: one of the policy types the paper's
+// architecture is built to host (§III-B). The policy document (policy.pol)
+// lets engineering reach the servers; when a sensor flags a host as
+// compromised, the bridge dfid's -quarantine-template runs instantiates the
+// document's quarantine(h) template, whose higher-priority denies isolate
+// the host — and because the Policy Manager's conflict check flushes the
+// overridden allow rules' cached flow rules, even flows already in
+// progress are cut mid-stream.
 package main
 
 import (
+	_ "embed"
 	"fmt"
 	"io"
 	"log"
+	"slices"
 	"time"
 
 	dfi "github.com/dfi-sdn/dfi"
 	"github.com/dfi-sdn/dfi/internal/bufpipe"
 	"github.com/dfi-sdn/dfi/internal/bus"
 	"github.com/dfi-sdn/dfi/internal/controller"
-	"github.com/dfi-sdn/dfi/internal/core/pdp"
 	"github.com/dfi-sdn/dfi/internal/netpkt"
 	"github.com/dfi-sdn/dfi/internal/sensors"
 	"github.com/dfi-sdn/dfi/internal/switchsim"
 )
+
+//go:embed policy.pol
+var policySource string
 
 func main() {
 	if err := run(); err != nil {
@@ -35,6 +41,7 @@ func run() error {
 	ctl := controller.New(controller.Config{})
 	sys, err := dfi.New(
 		dfi.WithBus(eventBus),
+		dfi.WithPolicySource(policySource),
 		dfi.WithControllerDialer(func() (io.ReadWriteCloser, error) {
 			a, b := bufpipe.New()
 			go func() { _ = ctl.Serve(b) }()
@@ -54,25 +61,19 @@ func run() error {
 		return fmt.Errorf("switch never configured")
 	}
 
-	// Two PDPs at different priorities: an open baseline, and quarantine
-	// above it.
-	allowAll, err := pdp.NewAllowAll(sys.Policy())
+	// Compromise events instantiate quarantine(host); cleared events
+	// retract it.
+	cancel, _, err := sensors.AttachQuarantineTemplate(eventBus, sys.PolicyEngine(), "quarantine")
 	if err != nil {
 		return err
 	}
-	if err := allowAll.Enable(); err != nil {
-		return err
+	defer cancel()
+	quarantined := func() bool {
+		return slices.Contains(sys.PolicyEngine().Instances(), "quarantine(workstation)")
 	}
-	quarantine, err := pdp.NewQuarantine(sys.Policy())
-	if err != nil {
-		return err
-	}
-	if err := quarantine.Start(eventBus); err != nil {
-		return err
-	}
-	defer quarantine.Stop()
 
-	// Endpoints.
+	// Endpoints: alice (group eng) logged on at the workstation, and the
+	// db server.
 	wsMAC := netpkt.MustParseMAC("02:00:00:00:00:01")
 	dbMAC := netpkt.MustParseMAC("02:00:00:00:00:02")
 	wsIP := netpkt.MustParseIPv4("10.0.0.1")
@@ -80,7 +81,8 @@ func run() error {
 	sys.Entity().BindIPMAC(wsIP, wsMAC)
 	sys.Entity().BindIPMAC(dbIP, dbMAC)
 	sys.Entity().BindHostIP("workstation", wsIP)
-	sys.Entity().BindHostIP("database", dbIP)
+	sys.Entity().BindHostIP("db", dbIP)
+	sys.Entity().BindUserHost("alice", "workstation")
 
 	received := make(chan struct{}, 64)
 	if err := sw.AttachPort(1, func([]byte) {}); err != nil {
@@ -98,7 +100,7 @@ func run() error {
 	packet := netpkt.BuildTCP(wsMAC, dbMAC, wsIP, dbIP,
 		&netpkt.TCPSegment{SrcPort: 55000, DstPort: 5432, Flags: netpkt.TCPSyn})
 
-	fmt.Println("baseline: allow-all — workstation reaches the database")
+	fmt.Println("baseline: engineering may reach the servers — the workstation alice uses reaches db")
 	sw.Inject(1, packet)
 	if !waitOne(received, 2*time.Second) {
 		return fmt.Errorf("baseline flow was not delivered")
@@ -113,15 +115,15 @@ func run() error {
 		return err
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for !quarantine.Quarantined("workstation") && time.Now().Before(deadline) {
+	for !quarantined() && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if !quarantine.Quarantined("workstation") {
-		return fmt.Errorf("quarantine PDP never reacted")
+	if !quarantined() {
+		return fmt.Errorf("quarantine template never instantiated")
 	}
 	// The conflict check flushed the cached allow rules for the host.
 	time.Sleep(100 * time.Millisecond)
-	fmt.Println("   quarantine PDP emitted top-priority deny rules and flushed cached flows")
+	fmt.Println("   quarantine(workstation) installed its deny rules and flushed cached flows")
 
 	drain(received)
 	sw.Inject(1, packet) // the very same flow
@@ -138,7 +140,7 @@ func run() error {
 		return err
 	}
 	deadline = time.Now().Add(2 * time.Second)
-	for quarantine.Quarantined("workstation") && time.Now().Before(deadline) {
+	for quarantined() && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	time.Sleep(100 * time.Millisecond)

@@ -93,25 +93,6 @@ type FlowJSON struct {
 	Action      string `json:"action"` // "allow" (goto) | "deny" (drop) | "other"
 }
 
-// StatsJSON is the wire form of control-plane statistics.
-type StatsJSON struct {
-	Rules          int     `json:"rules"`
-	ProxyPacketIns uint64  `json:"proxyPacketIns"`
-	ProxyDenied    uint64  `json:"proxyDenied"`
-	ProxyDropped   uint64  `json:"proxyDropped"`
-	ProxyForwarded uint64  `json:"proxyForwarded"`
-	PCPProcessed   uint64  `json:"pcpProcessed"`
-	PCPDropped     uint64  `json:"pcpDropped"`
-	PCPAllowed     uint64  `json:"pcpAllowed"`
-	PCPDenied      uint64  `json:"pcpDenied"`
-	PCPCacheHits   uint64  `json:"pcpCacheHits"`
-	PCPCacheMisses uint64  `json:"pcpCacheMisses"`
-	PCPCacheStale  uint64  `json:"pcpCacheStale"`
-	MeanLatencyMs  float64 `json:"meanLatencyMs"`
-	BindingQueryMs float64 `json:"bindingQueryMs"`
-	PolicyQueryMs  float64 `json:"policyQueryMs"`
-}
-
 // HealthJSON is the /v1/healthz body.
 type HealthJSON struct {
 	Status   string `json:"status"`
@@ -302,28 +283,6 @@ func Handler(sys *dfi.System, opts ...HandlerOption) http.Handler {
 			out = append(out, fromFlowStats(f))
 		}
 		writeJSON(w, http.StatusOK, out)
-	})
-
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, _ *http.Request) {
-		ps := sys.Proxy().Stats()
-		m := sys.PCP().Metrics()
-		writeJSON(w, http.StatusOK, StatsJSON{
-			Rules:          sys.Policy().Len(),
-			ProxyPacketIns: ps.PacketIns,
-			ProxyDenied:    ps.Denied,
-			ProxyDropped:   ps.DroppedOverload,
-			ProxyForwarded: ps.Forwarded,
-			PCPProcessed:   m.Processed(),
-			PCPDropped:     m.Dropped(),
-			PCPAllowed:     m.Allowed(),
-			PCPDenied:      m.Denied(),
-			PCPCacheHits:   m.CacheHits(),
-			PCPCacheMisses: m.CacheMisses(),
-			PCPCacheStale:  m.CacheStale(),
-			MeanLatencyMs:  float64(m.Total.Mean()) / 1e6,
-			BindingQueryMs: float64(m.BindingQuery.Mean()) / 1e6,
-			PolicyQueryMs:  float64(m.PolicyQuery.Mean()) / 1e6,
-		})
 	})
 
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, _ *http.Request) {

@@ -142,17 +142,19 @@ func TestBindings(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
+// TestMetricsCountPolicyRules: an applied document's rules show in the
+// /v1/metrics rule gauge.
+func TestMetricsCountPolicyRules(t *testing.T) {
 	_, client := newTestServer(t)
 	if _, err := client.ApplyPolicy("pdp ops priority 50\ndeny from host kiosk\n", false); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := client.Stats()
+	text, err := client.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Rules != 1 {
-		t.Fatalf("stats = %+v", stats)
+	if !strings.Contains(text, "dfi_policy_rules 1\n") {
+		t.Fatalf("metrics exposition lacks dfi_policy_rules 1:\n%s", text)
 	}
 }
 

@@ -84,12 +84,6 @@ func (c *Client) Flows(dpid uint64) ([]FlowJSON, error) {
 	return out, c.do(http.MethodGet, fmt.Sprintf("/v1/flows/%d", dpid), nil, &out)
 }
 
-// Stats reads control-plane statistics.
-func (c *Client) Stats() (StatsJSON, error) {
-	var out StatsJSON
-	return out, c.do(http.MethodGet, "/v1/stats", nil, &out)
-}
-
 // Healthz reads the liveness summary.
 func (c *Client) Healthz() (HealthJSON, error) {
 	var out HealthJSON

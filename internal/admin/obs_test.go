@@ -91,7 +91,7 @@ func TestErrorEnvelopeAndMethodRouting(t *testing.T) {
 // endpoints are gone — each answers the enveloped 404, not a handler.
 func TestLegacyUnversionedAliases(t *testing.T) {
 	_, client := newTestServer(t)
-	for _, path := range []string{"/v1/rules", "/v1/stats", "/v1/healthz", "/v1/policy"} {
+	for _, path := range []string{"/v1/rules", "/v1/healthz", "/v1/policy"} {
 		resp, _ := get(t, http.MethodGet, client.base+path, "")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s = %d", path, resp.StatusCode)
@@ -104,6 +104,7 @@ func TestLegacyUnversionedAliases(t *testing.T) {
 		{http.MethodGet, "/healthz"},
 		{http.MethodGet, "/policy"},
 		{http.MethodGet, "/v1/" + "trace"},
+		{http.MethodGet, "/v1/" + "stats"},
 		{http.MethodPost, "/v1/" + "pdps"},
 	} {
 		resp, env := get(t, req.method, client.base+req.path, `{"name":"legacy","priority":60}`)
@@ -196,15 +197,6 @@ func TestObservabilityEndpoints(t *testing.T) {
 	}
 	if last := sys.Spans().Last(1); len(last) != 1 || last[0].Stage != "overload_drop" || last[0].DPID != 9 {
 		t.Fatalf("last span after a drop = %+v", last)
-	}
-
-	// Stats and the registry agree: one source of truth.
-	stats, err := client.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.PCPProcessed != 5 || stats.PCPProcessed != sys.PCP().Metrics().Processed() {
-		t.Fatalf("stats processed = %d", stats.PCPProcessed)
 	}
 }
 

@@ -13,21 +13,6 @@ import (
 	"github.com/dfi-sdn/dfi/internal/switchsim"
 )
 
-// simClient adapts a simulated switch to the PCP's client interfaces.
-// ApplyFlowMod clones matches, so the PCP's no-retain contract holds.
-type simClient struct{ sw *switchsim.Switch }
-
-func (c simClient) WriteFlowMod(fm *openflow.FlowMod) error { return c.sw.ApplyFlowMod(fm) }
-
-func (c simClient) WriteFlowMods(fms []*openflow.FlowMod) error {
-	for _, fm := range fms {
-		if err := c.sw.ApplyFlowMod(fm); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // oracle universe: three hosts on one switch, one user each.
 var (
 	oracleIPs  = []netpkt.IPv4{netpkt.MustParseIPv4("10.0.0.1"), netpkt.MustParseIPv4("10.0.0.2"), netpkt.MustParseIPv4("10.0.0.3")}
@@ -65,7 +50,7 @@ func registerOraclePDPs(t testing.TB, pm *policy.Manager) {
 func newForwardingSwitch(t testing.TB) *switchsim.Switch {
 	t.Helper()
 	sw := switchsim.NewSwitch(switchsim.Config{DPID: 1})
-	if err := sw.ApplyFlowMod(&openflow.FlowMod{
+	if err := sw.WriteFlowMod(&openflow.FlowMod{
 		TableID: 1, Command: openflow.FlowModAdd, Priority: 1, BufferID: openflow.NoBuffer,
 		Match: &openflow.Match{},
 		Instructions: []openflow.Instruction{&openflow.InstructionApplyActions{
@@ -78,7 +63,8 @@ func newForwardingSwitch(t testing.TB) *switchsim.Switch {
 
 // newOracleEnv builds a default-config PCP over the bound oracle universe
 // with a forwarding switch attached at dpid 1 through client (nil selects
-// a plain simClient).
+// the switch itself: its WriteFlowMod clones matches, so the PCP's
+// no-retain contract holds).
 func newOracleEnv(t testing.TB, client func(*switchsim.Switch) SwitchClient) (*PCP, *policy.Manager, *entity.Manager, *switchsim.Switch) {
 	t.Helper()
 	sw := newForwardingSwitch(t)
@@ -87,7 +73,7 @@ func newOracleEnv(t testing.TB, client func(*switchsim.Switch) SwitchClient) (*P
 	p := New(Config{Entity: erm, Policy: pm})
 	bindOracleUniverse(erm)
 	if client == nil {
-		p.AttachSwitch(1, simClient{sw})
+		p.AttachSwitch(1, sw)
 	} else {
 		p.AttachSwitch(1, client(sw))
 	}
@@ -253,7 +239,7 @@ func TestDeltaStateEquivalenceOracle(t *testing.T) {
 	}
 
 	fresh := newForwardingSwitch(t)
-	p.AttachSwitch(1, simClient{fresh})
+	p.AttachSwitch(1, fresh)
 	for _, pr := range probes {
 		admit(p, pr)
 	}
@@ -366,7 +352,7 @@ func TestEqualPriorityDenyFlushesAllow(t *testing.T) {
 // revoke just before the first table-0 add: the revocation publishes and
 // flushes between the admission's decision and its install.
 type revokeOnFirstAdd struct {
-	simClient
+	*switchsim.Switch
 	once   sync.Once
 	revoke func()
 }
@@ -375,7 +361,7 @@ func (c *revokeOnFirstAdd) WriteFlowMod(fm *openflow.FlowMod) error {
 	if fm.Command == openflow.FlowModAdd && fm.TableID == 0 {
 		c.once.Do(c.revoke)
 	}
-	return c.simClient.WriteFlowMod(fm)
+	return c.Switch.WriteFlowMod(fm)
 }
 
 // TestRevokeBetweenDecideAndInstall: an allow decided before a revocation
@@ -385,7 +371,7 @@ func TestRevokeBetweenDecideAndInstall(t *testing.T) {
 	var pm *policy.Manager
 	var id policy.RuleID
 	p, pm, _, sw := newOracleEnv(t, func(sw *switchsim.Switch) SwitchClient {
-		return &revokeOnFirstAdd{simClient: simClient{sw}, revoke: func() {
+		return &revokeOnFirstAdd{Switch: sw, revoke: func() {
 			if err := pm.Revoke(id); err != nil {
 				t.Error(err)
 			}

@@ -180,9 +180,6 @@ func (m *Metrics) CacheMisses() uint64 { return m.cacheMisses.Value() }
 // invalidated by a policy or binding epoch change (a subset of misses).
 func (m *Metrics) CacheStale() uint64 { return m.cacheStale.Value() }
 
-// WorkersBusy returns the number of workers currently processing a request.
-func (m *Metrics) WorkersBusy() int64 { return m.workersBusy.Value() }
-
 // PCP is the Policy Compilation Point.
 type PCP struct {
 	cfg     Config

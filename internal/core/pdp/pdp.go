@@ -9,8 +9,10 @@
 //   - ATRBAC — authentication-triggered RBAC, the policy uniquely enabled
 //     by DFI: role-based reachability exists only while users are logged
 //     on, and is revoked at log-off.
-//   - Quarantine — an extension PDP that isolates hosts flagged as
-//     compromised with high-priority deny rules.
+//
+// Quarantine-upon-compromise is not a Go PDP: it is the policy-language
+// template quarantine(h), instantiated per compromise event (see
+// sensors.AttachQuarantineTemplate).
 package pdp
 
 import (
@@ -24,7 +26,6 @@ const (
 	PriorityAllowAll   = 10
 	PriorityStaticRBAC = 100
 	PriorityATRBAC     = 110
-	PriorityQuarantine = 1000
 )
 
 // ServiceEndpoint names one core authentication service: the host serving

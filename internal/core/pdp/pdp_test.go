@@ -1,6 +1,7 @@
 package pdp
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"github.com/dfi-sdn/dfi/internal/core/policy"
 	"github.com/dfi-sdn/dfi/internal/netpkt"
 	"github.com/dfi-sdn/dfi/internal/obs"
+	"github.com/dfi-sdn/dfi/internal/policytext/compile"
 	"github.com/dfi-sdn/dfi/internal/sensors"
 )
 
@@ -287,53 +289,6 @@ func TestATRBACViaBus(t *testing.T) {
 	}
 }
 
-func TestQuarantineOverridesEverything(t *testing.T) {
-	pm := policy.NewManager()
-	allowAll, err := NewAllowAll(pm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := allowAll.Enable(); err != nil {
-		t.Fatal(err)
-	}
-	q, err := NewQuarantine(pm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Isolate("a1"); err != nil {
-		t.Fatal(err)
-	}
-	if !q.Quarantined("a1") {
-		t.Fatal("not quarantined")
-	}
-	// Both directions denied despite allow-all.
-	for _, f := range []*policy.FlowView{hostFlow("a1", "b1"), hostFlow("b1", "a1")} {
-		if d := pm.Query(f); d.Action != policy.ActionDeny {
-			t.Fatalf("quarantined flow decision = %+v", d)
-		}
-	}
-	// Unrelated hosts are untouched.
-	if d := pm.Query(hostFlow("b1", "b2")); d.Action != policy.ActionAllow {
-		t.Fatalf("unrelated flow = %+v", d)
-	}
-	if err := q.Release("a1"); err != nil {
-		t.Fatal(err)
-	}
-	if d := pm.Query(hostFlow("a1", "b1")); d.Action != policy.ActionAllow {
-		t.Fatalf("post-release flow = %+v", d)
-	}
-	// Idempotency.
-	if err := q.Release("a1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Isolate("a1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Isolate("a1"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestATRBACStopRevokesEverything(t *testing.T) {
 	pm := policy.NewManager()
 	a, err := NewATRBAC(pm, testRoster())
@@ -360,41 +315,6 @@ func TestATRBACStopRevokesEverything(t *testing.T) {
 	a.HandleAuth(sensors.AuthEvent{User: "u1", Host: "a1", LoggedOn: false})
 }
 
-func TestQuarantineStopLeavesIsolationsInForce(t *testing.T) {
-	pm := policy.NewManager()
-	q, err := NewQuarantine(pm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := bus.New()
-	defer b.Close()
-	if err := q.Start(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Isolate("h1"); err != nil {
-		t.Fatal(err)
-	}
-	q.Stop()
-	if !q.Quarantined("h1") {
-		t.Fatal("Stop lifted the quarantine")
-	}
-	if d := pm.Query(hostFlow("h1", "x")); d.Action != policy.ActionDeny {
-		t.Fatal("deny rules lost on Stop")
-	}
-}
-
-func TestQuarantineNilBusStart(t *testing.T) {
-	pm := policy.NewManager()
-	q, err := NewQuarantine(pm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Start(nil); err != nil {
-		t.Fatal(err)
-	}
-	q.Stop()
-}
-
 func TestDuplicatePDPRegistrationFails(t *testing.T) {
 	pm := policy.NewManager()
 	if _, err := NewAllowAll(pm); err != nil {
@@ -409,30 +329,111 @@ func TestDuplicatePDPRegistrationFails(t *testing.T) {
 	if s, err := NewSRBAC(pm, testRoster()); err != nil || s.Name() != "s-rbac" {
 		t.Fatalf("srbac: %v", err)
 	}
-	if q, err := NewQuarantine(pm); err != nil || q.Name() != "quarantine" {
-		t.Fatalf("quarantine: %v", err)
+}
+
+// quarantineEngine loads the quarantine template — the only quarantine
+// PDP — into a policy engine over pm, at a priority above every Go PDP.
+func quarantineEngine(t *testing.T, pm *policy.Manager) *compile.Engine {
+	t.Helper()
+	eng := compile.NewEngine(pm, nil)
+	if _, err := eng.SetSource("pdp quarantine priority 1000\n" +
+		"template quarantine(h) { deny from host $h; deny to host $h }\n"); err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+func quarantined(eng *compile.Engine, host string) bool {
+	return slices.Contains(eng.Instances(), compile.InstanceKey("quarantine", []string{host}))
+}
+
+func TestQuarantineOverridesEverything(t *testing.T) {
+	pm := policy.NewManager()
+	allowAll, err := NewAllowAll(pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := allowAll.Enable(); err != nil {
+		t.Fatal(err)
+	}
+	eng := quarantineEngine(t, pm)
+	if _, err := eng.Instantiate(obs.SpanContext{}, "quarantine", "a1"); err != nil {
+		t.Fatal(err)
+	}
+	if !quarantined(eng, "a1") {
+		t.Fatal("not quarantined")
+	}
+	// Both directions denied despite allow-all.
+	for _, f := range []*policy.FlowView{hostFlow("a1", "b1"), hostFlow("b1", "a1")} {
+		if d := pm.Query(f); d.Action != policy.ActionDeny {
+			t.Fatalf("quarantined flow decision = %+v", d)
+		}
+	}
+	// Unrelated hosts are untouched.
+	if d := pm.Query(hostFlow("b1", "b2")); d.Action != policy.ActionAllow {
+		t.Fatalf("unrelated flow = %+v", d)
+	}
+	if _, err := eng.Retract(obs.SpanContext{}, "quarantine", "a1"); err != nil {
+		t.Fatal(err)
+	}
+	if d := pm.Query(hostFlow("a1", "b1")); d.Action != policy.ActionAllow {
+		t.Fatalf("post-retract flow = %+v", d)
+	}
+	// Idempotency.
+	if _, err := eng.Retract(obs.SpanContext{}, "quarantine", "a1"); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if _, err := eng.Instantiate(obs.SpanContext{}, "quarantine", "a1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := pm.Len(); n != 3 {
+		t.Fatalf("rules after double instantiate = %d, want allow-all + 2 denies", n)
+	}
+}
+
+func TestQuarantineStopLeavesIsolationsInForce(t *testing.T) {
+	pm := policy.NewManager()
+	eng := quarantineEngine(t, pm)
+	b := bus.New()
+	defer b.Close()
+	cancel, errCount, err := sensors.AttachQuarantineTemplate(b, eng, "quarantine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Instantiate(obs.SpanContext{}, "quarantine", "h1"); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if !quarantined(eng, "h1") {
+		t.Fatal("cancelling the bridge lifted the quarantine")
+	}
+	if d := pm.Query(hostFlow("h1", "x")); d.Action != policy.ActionDeny {
+		t.Fatal("deny rules lost on cancel")
+	}
+	if errCount() != 0 {
+		t.Fatalf("errors = %d", errCount())
 	}
 }
 
 func TestQuarantineViaBusEvents(t *testing.T) {
 	pm := policy.NewManager()
 	applied := appliesOf(pm)
-	q, err := NewQuarantine(pm)
+	eng := quarantineEngine(t, pm)
+	b := bus.New()
+	defer b.Close()
+	cancel, errCount, err := sensors.AttachQuarantineTemplate(b, eng, "quarantine")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := bus.New()
-	defer b.Close()
-	if err := q.Start(b); err != nil {
-		t.Fatal(err)
-	}
-	defer q.Stop()
+	defer cancel()
 	if err := b.Publish(bus.Event{Topic: sensors.TopicCompromise,
 		Payload: sensors.CompromiseEvent{Host: "h9"}}); err != nil {
 		t.Fatal(err)
 	}
 	waitApply(t, applied, "isolate")
-	if !q.Quarantined("h9") {
+	if !quarantined(eng, "h9") {
 		t.Fatal("compromise event not applied")
 	}
 	if err := b.Publish(bus.Event{Topic: sensors.TopicCompromise,
@@ -440,7 +441,10 @@ func TestQuarantineViaBusEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitApply(t, applied, "release")
-	if q.Quarantined("h9") {
+	if quarantined(eng, "h9") {
 		t.Fatal("clear event not applied")
+	}
+	if errCount() != 0 {
+		t.Fatalf("errors = %d", errCount())
 	}
 }

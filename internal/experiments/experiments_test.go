@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -127,6 +129,7 @@ func TestFig5aShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + res.Render())
+	checkGolden(t, "fig5a.tsv", res.TSV())
 	nBase := len(res.Baseline.Infections)
 	nSRBAC := len(res.SRBAC.Infections)
 	nATRBAC := len(res.ATRBAC.Infections)
@@ -154,6 +157,7 @@ func TestFig5bShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + res.Render())
+	checkGolden(t, "fig5b.tsv", res.TSV())
 	byHour := map[int]int{}
 	for _, p := range res.Points {
 		byHour[p.Hour] = p.Infected
@@ -168,4 +172,18 @@ func TestFig5bShape(t *testing.T) {
 		t.Errorf("21:00 foothold (%d) not better than 09:00 (%d)", byHour[21], byHour[9])
 	}
 	_ = testbed.ConditionATRBAC
+}
+
+// checkGolden pins a simulated-clock experiment's output exactly: the
+// testbed is deterministic per seed, so any change to a count is a change
+// in the system under test, to be explained rather than re-recorded.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s differs from testdata/%s:\ngot:\n%swant:\n%s", name, name, got, want)
+	}
 }

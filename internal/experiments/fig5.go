@@ -86,6 +86,7 @@ func RunFig5a(cfg Fig5aConfig) (*Fig5aResult, error) {
 		foothold := tb.FootholdHost(cfg.FootholdAt)
 		res.Foothold = foothold
 		out, err := tb.RunInfection(foothold, cfg.FootholdAt, cfg.Horizon)
+		tb.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -158,6 +159,7 @@ func RunFig5b(cfg Fig5bConfig) (*Fig5bResult, error) {
 		at := time.Duration(hour) * time.Hour
 		foothold := tb.FootholdHost(at)
 		out, err := tb.RunInfection(foothold, at, at+cfg.SpanAfter)
+		tb.Close()
 		if err != nil {
 			return nil, err
 		}

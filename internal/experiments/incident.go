@@ -11,9 +11,10 @@ import (
 // IncidentConfig parameterizes the incident-response extension experiment:
 // the paper's conclusion argues that AT-RBAC's slowdown "could provide
 // additional time for an incident response team to be notified and isolate
-// infected hosts" (§V-B). Here that team is modeled by the Quarantine PDP
-// isolating each infected host a fixed delay after compromise, and the
-// claim is quantified across policy conditions.
+// infected hosts" (§V-B). Here that team is modeled by the policy
+// template quarantine(host) — the one dfid's -quarantine-template runs —
+// instantiated for each infected host a fixed delay after compromise, and
+// the claim is quantified across policy conditions.
 type IncidentConfig struct {
 	Seed int64
 	// Delays are the detection-to-isolation times to sweep (default
@@ -101,6 +102,7 @@ func RunIncidentResponse(cfg IncidentConfig) (*IncidentResult, error) {
 			}
 			foothold := tb.FootholdHost(cfg.FootholdAt)
 			out, err := tb.RunInfection(foothold, cfg.FootholdAt, cfg.FootholdAt+8*time.Hour)
+			tb.Close()
 			if err != nil {
 				return nil, err
 			}

@@ -11,6 +11,7 @@ func TestIncidentResponseQuantifiesSlowdownBenefit(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + res.Render())
+	checkGolden(t, "incident.tsv", res.TSV())
 	get := func(cond int, delay time.Duration) int {
 		for _, p := range res.Points {
 			if int(p.Condition) == cond && p.Delay == delay {

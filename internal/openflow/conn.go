@@ -39,27 +39,16 @@ type Conn struct {
 	rw      io.ReadWriter
 	br      *bufio.Reader
 	nextXID atomic.Uint32
-	flushAt int
 }
 
 // NewConn wraps a byte stream (typically a net.Conn or net.Pipe end).
 func NewConn(rw io.ReadWriter) *Conn {
 	c := &Conn{
-		rw:      rw,
-		br:      bufio.NewReader(rw),
-		flushAt: DefaultFlushThreshold,
+		rw: rw,
+		br: bufio.NewReader(rw),
 	}
 	c.nextXID.Store(1)
 	return c
-}
-
-// SetFlushThreshold overrides the queued-bytes level that forces a flush
-// (default DefaultFlushThreshold). Values < 1 flush on every queued
-// message, degenerating to write-through.
-func (c *Conn) SetFlushThreshold(n int) {
-	c.writeMu.Lock()
-	c.flushAt = n
-	c.writeMu.Unlock()
 }
 
 // Send writes m with a freshly allocated transaction id, which it returns.
@@ -107,31 +96,6 @@ func sendErr(t MessageType, err error) error {
 	return fmt.Errorf("send %v: %w", t, err)
 }
 
-// SendBatch encodes every message (with fresh transaction ids) into one
-// buffer outside the lock and writes them in a single syscall.
-func (c *Conn) SendBatch(msgs []Message) error {
-	if len(msgs) == 0 {
-		return nil
-	}
-	bp := encBufPool.Get().(*[]byte)
-	b := (*bp)[:0]
-	var err error
-	for _, m := range msgs {
-		b, err = AppendMessage(b, c.nextXID.Add(1), m)
-		if err != nil {
-			break
-		}
-	}
-	if err == nil {
-		if werr := c.writeThrough(b); werr != nil {
-			err = sendErr(msgs[0].Type(), werr)
-		}
-	}
-	*bp = b[:0]
-	encBufPool.Put(bp)
-	return err
-}
-
 // Queue appends m (with a fresh transaction id, returned) to the write
 // buffer without writing, unless the buffer crosses the flush threshold.
 func (c *Conn) Queue(m Message) (uint32, error) {
@@ -167,7 +131,7 @@ func (c *Conn) queueBytes(b []byte) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	c.wbuf = appendBytes(c.wbuf, b)
-	if len(c.wbuf) >= c.flushAt {
+	if len(c.wbuf) >= DefaultFlushThreshold {
 		return c.flushLocked()
 	}
 	return nil

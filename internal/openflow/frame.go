@@ -27,9 +27,6 @@ func (f *Frame) Type() MessageType { return MessageType(f.buf[1]) }
 // XID returns the frame's transaction id.
 func (f *Frame) XID() uint32 { return binary.BigEndian.Uint32(f.buf[4:8]) }
 
-// SetXID rewrites the frame's transaction id in place.
-func (f *Frame) SetXID(xid uint32) { binary.BigEndian.PutUint32(f.buf[4:8], xid) }
-
 // Len returns the total wire length (header + body).
 func (f *Frame) Len() int { return len(f.buf) }
 

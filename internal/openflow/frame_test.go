@@ -390,40 +390,22 @@ func TestConnSendDrainsQueue(t *testing.T) {
 	}
 }
 
-// TestConnSendBatch: all messages in one write, in order, distinct xids.
-func TestConnSendBatch(t *testing.T) {
-	w := &countingWriter{}
-	c := NewConn(w)
-	batch := []Message{
-		&EchoRequest{Data: []byte("a")},
-		&EchoRequest{Data: []byte("b")},
-		&EchoRequest{Data: []byte("c")},
-	}
-	if err := c.SendBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	n, b := w.snapshot()
-	if n != 1 {
-		t.Fatalf("writes = %d, want 1", n)
-	}
-	msgs := decodeAll(t, b)
-	if len(msgs) != 3 {
-		t.Fatalf("decoded %d messages, want 3", len(msgs))
-	}
-	for i, m := range msgs {
-		if got := string(m.(*EchoRequest).Data); got != string(batch[i].(*EchoRequest).Data) {
-			t.Fatalf("message %d = %q", i, got)
-		}
-	}
-}
-
-// TestConnFlushThreshold: crossing the threshold forces a flush without an
-// explicit Flush call.
+// TestConnFlushThreshold: queueing past DefaultFlushThreshold forces a
+// flush without an explicit Flush call; below it nothing is written.
 func TestConnFlushThreshold(t *testing.T) {
 	w := &countingWriter{}
 	c := NewConn(w)
-	c.SetFlushThreshold(16)
-	if _, err := c.Queue(&EchoRequest{Data: []byte("0123456789abcdef")}); err != nil {
+	payload := make([]byte, 1024)
+	below := DefaultFlushThreshold / (headerLen + len(payload))
+	for i := 0; i < below; i++ {
+		if _, err := c.Queue(&EchoRequest{Data: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, _ := w.snapshot(); n != 0 {
+		t.Fatalf("writes = %d below the threshold, want 0", n)
+	}
+	if _, err := c.Queue(&EchoRequest{Data: payload}); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := w.snapshot(); n != 1 {

@@ -167,7 +167,7 @@ func oversizeErr(t MessageType, bodyLen int) error {
 
 // AppendMessage append-encodes a full message (header + body) with the
 // given transaction id onto dst and returns the extended slice. It is the
-// package's one encoder: Encode, WriteMessage and every Conn send go
+// package's one encoder: Encode and every Conn send go
 // through it, and with a reused dst it performs no allocation.
 //
 //dfi:hotpath
@@ -194,18 +194,6 @@ func AppendMessage(dst []byte, xid uint32, m Message) ([]byte, error) {
 // reused buffer instead.
 func Encode(xid uint32, m Message) ([]byte, error) {
 	return AppendMessage(nil, xid, m)
-}
-
-// WriteMessage encodes and writes a full message to w.
-func WriteMessage(w io.Writer, xid uint32, m Message) error {
-	b, err := Encode(xid, m)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(b); err != nil {
-		return fmt.Errorf("write %v: %w", m.Type(), err)
-	}
-	return nil
 }
 
 // readBufPool recycles decode scratch buffers across ReadMessage calls.

@@ -114,16 +114,6 @@ func Gate(p *compile.Program) ([]Finding, error) {
 	return fs, nil
 }
 
-// HasErrors reports whether any finding is error-severity.
-func HasErrors(fs []Finding) bool {
-	for _, f := range fs {
-		if f.Severity == SevError {
-			return true
-		}
-	}
-	return false
-}
-
 // dedupe collapses findings that differ only in expansion (one statement
 // fanning out to many lowered rules shadowed by the same counterpart),
 // keeping the first representative and the maximum severity, then sorts.

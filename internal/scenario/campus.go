@@ -1,10 +1,13 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"time"
 
+	dfi "github.com/dfi-sdn/dfi"
 	"github.com/dfi-sdn/dfi/internal/core/entity"
 	"github.com/dfi-sdn/dfi/internal/core/pcp"
 	"github.com/dfi-sdn/dfi/internal/core/policy"
@@ -46,14 +49,15 @@ type campusHost struct {
 	port uint32
 }
 
-// campus is the scenario harness's control plane under test: a Policy
-// Manager and PCP sharing one obs registry, fronting a fat tree of
-// simulated switches, with the identifier space fully bound.
+// campus is the scenario harness's control plane under test: a DFI System
+// on the campus obs registry, fronting a fat tree of simulated switches,
+// with the identifier space fully bound.
 type campus struct {
 	cfg Config
 	rng *rand.Rand
 
 	reg *obs.Registry
+	sys *dfi.System
 	erm *entity.Manager
 	pm  *policy.Manager
 	pcp *pcp.PCP
@@ -66,43 +70,44 @@ type campus struct {
 	stages *obs.HistogramVec
 }
 
-// campusSwitchClient adapts a simulated switch to the PCP's writer.
-type campusSwitchClient struct{ sw *switchsim.Switch }
-
-func (c campusSwitchClient) WriteFlowMod(fm *openflow.FlowMod) error {
-	return c.sw.ApplyFlowMod(fm)
-}
-
-// newCampus builds and fully binds the campus. The PCP runs at native
-// speed on the wall clock: scenario latency distributions measure the
-// implementation, and determinism comes from the seeded workload rather
-// than a simulated clock.
-func newCampus(cfg Config) *campus {
+// newCampus builds and fully binds the campus; closing c.sys releases it. The PCP
+// runs at native speed on the wall clock: scenario latency distributions
+// measure the implementation, and determinism comes from the seeded
+// workload rather than a simulated clock. Admission goes through the
+// System's PCP directly; no switch connection is served, so the
+// controller is unreachable.
+func newCampus(cfg Config) (*campus, error) {
 	edges, aggs, cores, perEdge := fullEdges, fullAggs, fullCores, fullHostsPerEdge
 	if cfg.Quick {
 		edges, aggs, cores, perEdge = quickEdges, quickAggs, quickCores, quickHostsPerEdge
 	}
+	reg := obs.NewRegistry()
+	sys, err := dfi.New(
+		dfi.WithControllerDialer(func() (io.ReadWriteCloser, error) {
+			return nil, errors.New("campus: no controller")
+		}),
+		dfi.WithMetrics(reg),
+	)
+	if err != nil {
+		return nil, err
+	}
 	c := &campus{
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		reg:      obs.NewRegistry(),
-		erm:      entity.NewManager(),
+		reg:      reg,
+		sys:      sys,
+		erm:      sys.Entity(),
+		pm:       sys.Policy(),
+		pcp:      sys.PCP(),
 		switches: make(map[uint64]*switchsim.Switch),
 	}
-	c.pm = policy.NewManager(policy.WithObserver(c.reg))
-	c.pcp = pcp.New(pcp.Config{
-		Entity: c.erm,
-		Policy: c.pm,
-		Clock:  simclock.Real{},
-		Obs:    c.reg,
-	})
 	c.tte = c.reg.FindHistogram("dfi_policy_mutation_tte_seconds")
 	c.stages = c.reg.FindHistogramVec("dfi_pcp_stage_seconds")
 
 	addSwitch := func(dpid uint64) {
 		sw := switchsim.NewSwitch(switchsim.Config{DPID: dpid, Clock: simclock.Real{}})
 		c.switches[dpid] = sw
-		c.pcp.AttachSwitch(dpid, campusSwitchClient{sw: sw})
+		c.pcp.AttachSwitch(dpid, sw)
 	}
 	for i := 0; i < cores; i++ {
 		addSwitch(uint64(1 + i))
@@ -134,7 +139,7 @@ func newCampus(cfg Config) *campus {
 		c.erm.BindMACLocation(h.mac, entity.Location{DPID: h.dpid, Port: h.port})
 		c.hosts = append(c.hosts, h)
 	}
-	return c
+	return c, nil
 }
 
 // entities returns the live binding count.

@@ -31,7 +31,9 @@ func TestScenariosPassQuick(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res := results[0]; !res.Passed() {
+		res := results[0]
+		t.Logf("%s SLOs: %+v", name, res.SLOs)
+		if !res.Passed() {
 			t.Errorf("%s violated its SLOs: %+v", name, res.SLOs)
 		}
 	}

@@ -61,7 +61,11 @@ func init() {
 // the flapping host interleave — first under the live rule, then after the
 // revoke against default deny.
 func runFlapStorm(cfg Config) (*Result, error) {
-	c := newCampus(cfg)
+	c, err := newCampus(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer c.sys.Close()
 	if err := c.pm.RegisterPDP("campus-auth", 50); err != nil {
 		return nil, err
 	}
@@ -132,7 +136,11 @@ func runFlapStorm(cfg Config) (*Result, error) {
 // resolve through the fresh bindings (stale cache entries are re-resolved,
 // not served).
 func runDHCPChurn(cfg Config) (*Result, error) {
-	c := newCampus(cfg)
+	c, err := newCampus(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer c.sys.Close()
 	allowAll, err := pdp.NewAllowAll(c.pm)
 	if err != nil {
 		return nil, err
@@ -191,7 +199,11 @@ func runDHCPChurn(cfg Config) (*Result, error) {
 // each revocation's wall-clock time-to-enforcement through the synchronous
 // switch flush. Admissions after the storm confirm the data path survived.
 func runRevocationStorm(cfg Config) (*Result, error) {
-	c := newCampus(cfg)
+	c, err := newCampus(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer c.sys.Close()
 	if err := c.pm.RegisterPDP("contractor", 60); err != nil {
 		return nil, err
 	}
@@ -285,6 +297,7 @@ func runWormQuarantine(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer tb.Close()
 	foothold := tb.FootholdHost(footholdAt)
 	infection, err := tb.RunInfection(foothold, footholdAt, horizon)
 	if err != nil {

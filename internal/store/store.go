@@ -1,9 +1,9 @@
-// Package store provides the in-memory storage layer backing DFI's Policy
-// Manager and Entity Resolution Manager. It is the from-scratch substrate
-// standing in for the paper's MySQL databases: concurrent tables plus an
-// injectable query-latency model, so that the RPC+database costs the paper
-// measured (≈2.4–2.5 ms per query, Table II) can be reproduced for the
-// evaluation while remaining zero for ordinary library use.
+// Package store models the query latency of the paper's MySQL databases:
+// an injectable cost per Policy Manager and Entity Resolution Manager
+// query, so that the RPC+database costs the paper measured (≈2.4–2.5 ms
+// per query, Table II) can be reproduced for the evaluation while
+// remaining zero for ordinary library use. The managers keep their own
+// in-memory indexes; nothing here stores rows.
 package store
 
 import (
@@ -112,73 +112,4 @@ func Charge(clock simclock.Clock, m LatencyModel) time.Duration {
 	}
 	owed.Add(int64(slept - d))
 	return d
-}
-
-// Table is a concurrent map with copy-on-read iteration, the storage
-// primitive behind the policy and binding databases.
-type Table[K comparable, V any] struct {
-	mu   sync.RWMutex
-	rows map[K]V
-}
-
-// NewTable returns an empty table.
-func NewTable[K comparable, V any]() *Table[K, V] {
-	return &Table[K, V]{rows: make(map[K]V)}
-}
-
-// Get returns the row for k.
-func (t *Table[K, V]) Get(k K) (V, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	v, ok := t.rows[k]
-	return v, ok
-}
-
-// Put inserts or replaces the row for k.
-func (t *Table[K, V]) Put(k K, v V) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.rows[k] = v
-}
-
-// Delete removes the row for k, reporting whether it existed.
-func (t *Table[K, V]) Delete(k K) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	_, ok := t.rows[k]
-	delete(t.rows, k)
-	return ok
-}
-
-// Len returns the number of rows.
-func (t *Table[K, V]) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.rows)
-}
-
-// ForEach calls fn for every row of a consistent snapshot, stopping early
-// if fn returns false. fn may safely mutate the table.
-func (t *Table[K, V]) ForEach(fn func(K, V) bool) {
-	t.mu.RLock()
-	snapshot := make(map[K]V, len(t.rows))
-	for k, v := range t.rows {
-		snapshot[k] = v
-	}
-	t.mu.RUnlock()
-	for k, v := range snapshot {
-		if !fn(k, v) {
-			return
-		}
-	}
-}
-
-// Update atomically applies fn to the row for k (zero value if absent) and
-// stores the result. fn runs with the table's lock held — the atomicity is
-// the point of this API — so it must be a pure transform: calling back into
-// the same Table from fn deadlocks.
-func (t *Table[K, V]) Update(k K, fn func(V) V) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.rows[k] = fn(t.rows[k]) //dfi:ignore lockheld
 }

@@ -84,77 +84,6 @@ func TestChargeNilIsFree(t *testing.T) {
 	}
 }
 
-func TestTableCRUD(t *testing.T) {
-	tab := NewTable[string, int]()
-	if _, ok := tab.Get("a"); ok {
-		t.Fatal("empty table returned a row")
-	}
-	tab.Put("a", 1)
-	tab.Put("b", 2)
-	if v, ok := tab.Get("a"); !ok || v != 1 {
-		t.Fatalf("Get(a) = %d, %v", v, ok)
-	}
-	if tab.Len() != 2 {
-		t.Fatalf("Len = %d", tab.Len())
-	}
-	tab.Put("a", 10)
-	if v, _ := tab.Get("a"); v != 10 {
-		t.Fatalf("overwrite failed: %d", v)
-	}
-	if !tab.Delete("a") {
-		t.Fatal("Delete(a) = false")
-	}
-	if tab.Delete("a") {
-		t.Fatal("double delete = true")
-	}
-	if tab.Len() != 1 {
-		t.Fatalf("Len after delete = %d", tab.Len())
-	}
-}
-
-func TestTableForEachSnapshotAllowsMutation(t *testing.T) {
-	tab := NewTable[int, int]()
-	for i := 0; i < 10; i++ {
-		tab.Put(i, i)
-	}
-	seen := 0
-	tab.ForEach(func(k, _ int) bool {
-		seen++
-		tab.Delete(k) // must not deadlock or skip
-		return true
-	})
-	if seen != 10 {
-		t.Fatalf("visited %d rows, want 10", seen)
-	}
-	if tab.Len() != 0 {
-		t.Fatalf("Len = %d after deleting all", tab.Len())
-	}
-}
-
-func TestTableForEachEarlyStop(t *testing.T) {
-	tab := NewTable[int, int]()
-	for i := 0; i < 10; i++ {
-		tab.Put(i, i)
-	}
-	seen := 0
-	tab.ForEach(func(int, int) bool {
-		seen++
-		return false
-	})
-	if seen != 1 {
-		t.Fatalf("visited %d rows after early stop, want 1", seen)
-	}
-}
-
-func TestTableUpdate(t *testing.T) {
-	tab := NewTable[string, int]()
-	tab.Update("counter", func(v int) int { return v + 1 })
-	tab.Update("counter", func(v int) int { return v + 1 })
-	if v, _ := tab.Get("counter"); v != 2 {
-		t.Fatalf("counter = %d, want 2", v)
-	}
-}
-
 // TestChargeRealClockKeepsTheModelsTotal: on the wall clock a model's
 // charges sleep, in total, at least the costs they sampled and at most one
 // late wake-up more, even when each cost is below the timer granularity.

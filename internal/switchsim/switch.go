@@ -482,7 +482,7 @@ func (s *Switch) handleControl(conn *openflow.Conn, xid uint32, msg openflow.Mes
 		s.handlePacketOut(m)
 		return nil
 	case *openflow.FlowMod:
-		if err := s.ApplyFlowMod(m); err != nil {
+		if err := s.WriteFlowMod(m); err != nil {
 			return conn.SendXID(xid, &openflow.Error{
 				ErrType: 5, // OFPET_FLOW_MOD_FAILED
 				Code:    errorCodeFor(err),
@@ -537,9 +537,10 @@ func errorCodeFor(err error) uint16 {
 	}
 }
 
-// ApplyFlowMod applies a flow-mod to the pipeline. It is exported so that
-// in-process harnesses can program the switch without a control channel.
-func (s *Switch) ApplyFlowMod(fm *openflow.FlowMod) error {
+// WriteFlowMod applies a flow-mod to the pipeline. It is exported so that
+// in-process harnesses can program the switch without a control channel;
+// it makes a Switch a pcp.SwitchClient.
+func (s *Switch) WriteFlowMod(fm *openflow.FlowMod) error {
 	s.flowMods.Add(1)
 	now := s.cfg.Clock.Now()
 	match := fm.Match

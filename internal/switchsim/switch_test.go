@@ -42,7 +42,7 @@ func (c *collector) count() int {
 
 func addFlow(t *testing.T, sw *Switch, tableID uint8, priority uint16, match *openflow.Match, instrs ...openflow.Instruction) {
 	t.Helper()
-	err := sw.ApplyFlowMod(&openflow.FlowMod{
+	err := sw.WriteFlowMod(&openflow.FlowMod{
 		TableID:      tableID,
 		Command:      openflow.FlowModAdd,
 		Priority:     priority,
@@ -202,7 +202,7 @@ func TestAddReplacesIdenticalMatch(t *testing.T) {
 func TestDeleteByCookie(t *testing.T) {
 	sw := NewSwitch(Config{DPID: 1})
 	for i := uint64(1); i <= 3; i++ {
-		err := sw.ApplyFlowMod(&openflow.FlowMod{
+		err := sw.WriteFlowMod(&openflow.FlowMod{
 			TableID: 0, Command: openflow.FlowModAdd, Priority: uint16(i), Cookie: i,
 			Match: &openflow.Match{TCPDst: openflow.U16(uint16(i)), EthType: openflow.U16(netpkt.EtherTypeIPv4), IPProto: openflow.U8(netpkt.ProtoTCP)},
 		})
@@ -211,7 +211,7 @@ func TestDeleteByCookie(t *testing.T) {
 		}
 	}
 	// Cookie-scoped flush, as the PCP issues on policy change.
-	err := sw.ApplyFlowMod(&openflow.FlowMod{
+	err := sw.WriteFlowMod(&openflow.FlowMod{
 		TableID: 0, Command: openflow.FlowModDelete,
 		Cookie: 2, CookieMask: ^uint64(0),
 		Match: &openflow.Match{},
@@ -229,7 +229,7 @@ func TestDeleteNonStrictCovers(t *testing.T) {
 	addFlow(t, sw, 0, 10, &openflow.Match{EthDst: openflow.MACPtr(mac2), EthType: openflow.U16(netpkt.EtherTypeIPv4)})
 	addFlow(t, sw, 0, 11, &openflow.Match{EthDst: openflow.MACPtr(mac1)})
 	// Delete everything matching eth_dst=mac2 (any other fields).
-	err := sw.ApplyFlowMod(&openflow.FlowMod{
+	err := sw.WriteFlowMod(&openflow.FlowMod{
 		TableID: 0, Command: openflow.FlowModDelete,
 		Match: &openflow.Match{EthDst: openflow.MACPtr(mac2)},
 	})
@@ -246,7 +246,7 @@ func TestDeleteStrict(t *testing.T) {
 	m := &openflow.Match{EthDst: openflow.MACPtr(mac2)}
 	addFlow(t, sw, 0, 10, m)
 	addFlow(t, sw, 0, 20, m)
-	err := sw.ApplyFlowMod(&openflow.FlowMod{
+	err := sw.WriteFlowMod(&openflow.FlowMod{
 		TableID: 0, Command: openflow.FlowModDeleteStrict, Priority: 10, Match: m,
 	})
 	if err != nil {
@@ -269,7 +269,7 @@ func TestModifyUpdatesInstructionsKeepsCounters(t *testing.T) {
 	m := &openflow.Match{EthDst: openflow.MACPtr(mac2)}
 	addFlow(t, sw, 0, 10, m, outputTo(2))
 	sw.Inject(1, tcpFrame(1000, 80))
-	err := sw.ApplyFlowMod(&openflow.FlowMod{
+	err := sw.WriteFlowMod(&openflow.FlowMod{
 		TableID: 0, Command: openflow.FlowModModify, Match: m,
 		Instructions: []openflow.Instruction{outputTo(3)},
 	})
@@ -286,7 +286,7 @@ func TestTableCapacity(t *testing.T) {
 	sw := NewSwitch(Config{DPID: 1, TableCapacity: 2})
 	addFlow(t, sw, 0, 1, &openflow.Match{TCPDst: openflow.U16(1)})
 	addFlow(t, sw, 0, 2, &openflow.Match{TCPDst: openflow.U16(2)})
-	err := sw.ApplyFlowMod(&openflow.FlowMod{
+	err := sw.WriteFlowMod(&openflow.FlowMod{
 		TableID: 0, Command: openflow.FlowModAdd, Priority: 3,
 		Match: &openflow.Match{TCPDst: openflow.U16(3)},
 	})
@@ -297,7 +297,7 @@ func TestTableCapacity(t *testing.T) {
 
 func TestBadTableRejected(t *testing.T) {
 	sw := NewSwitch(Config{DPID: 1, NumTables: 2})
-	err := sw.ApplyFlowMod(&openflow.FlowMod{TableID: 5, Command: openflow.FlowModAdd, Match: &openflow.Match{}})
+	err := sw.WriteFlowMod(&openflow.FlowMod{TableID: 5, Command: openflow.FlowModAdd, Match: &openflow.Match{}})
 	if err == nil {
 		t.Fatal("want bad-table error")
 	}
@@ -307,7 +307,7 @@ func TestIdleTimeoutSweep(t *testing.T) {
 	epoch := time.Date(2019, 3, 1, 9, 0, 0, 0, time.UTC)
 	clk := simclock.NewSimulated(epoch)
 	sw := NewSwitch(Config{DPID: 1, Clock: clk})
-	err := sw.ApplyFlowMod(&openflow.FlowMod{
+	err := sw.WriteFlowMod(&openflow.FlowMod{
 		TableID: 0, Command: openflow.FlowModAdd, Priority: 1,
 		IdleTimeout: 10, Match: &openflow.Match{},
 	})
@@ -338,7 +338,7 @@ func TestIdleTimeoutRefreshedByTraffic(t *testing.T) {
 	if err := sw.AttachPort(2, out.deliver); err != nil {
 		t.Fatal(err)
 	}
-	err := sw.ApplyFlowMod(&openflow.FlowMod{
+	err := sw.WriteFlowMod(&openflow.FlowMod{
 		TableID: 0, Command: openflow.FlowModAdd, Priority: 1,
 		IdleTimeout: 10, Match: &openflow.Match{},
 		Instructions: []openflow.Instruction{outputTo(2)},
@@ -364,7 +364,7 @@ func TestHardTimeoutExpiresActiveFlow(t *testing.T) {
 	epoch := time.Date(2019, 3, 1, 9, 0, 0, 0, time.UTC)
 	clk := simclock.NewSimulated(epoch)
 	sw := NewSwitch(Config{DPID: 1, Clock: clk})
-	err := sw.ApplyFlowMod(&openflow.FlowMod{
+	err := sw.WriteFlowMod(&openflow.FlowMod{
 		TableID: 0, Command: openflow.FlowModAdd, Priority: 1,
 		HardTimeout: 10, Match: &openflow.Match{},
 	})
@@ -516,7 +516,7 @@ func TestFlowRemovedOnDelete(t *testing.T) {
 		t.Fatalf("got %T, want Hello", msg)
 	}
 
-	err := sw.ApplyFlowMod(&openflow.FlowMod{
+	err := sw.WriteFlowMod(&openflow.FlowMod{
 		TableID: 0, Command: openflow.FlowModAdd, Priority: 7, Cookie: 99,
 		Flags: openflow.FlowFlagSendFlowRem,
 		Match: &openflow.Match{EthDst: openflow.MACPtr(mac2)},
@@ -524,7 +524,7 @@ func TestFlowRemovedOnDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = sw.ApplyFlowMod(&openflow.FlowMod{
+	err = sw.WriteFlowMod(&openflow.FlowMod{
 		TableID: 0, Command: openflow.FlowModDelete,
 		Cookie: 99, CookieMask: ^uint64(0), Match: &openflow.Match{},
 	})
@@ -671,7 +671,7 @@ func TestCapacityEvictsExpiredBeforeRefusing(t *testing.T) {
 	sw := NewSwitch(Config{DPID: 1, TableCapacity: 2, Clock: clk})
 	// Two short-lived entries fill the table.
 	for i := uint16(1); i <= 2; i++ {
-		err := sw.ApplyFlowMod(&openflow.FlowMod{
+		err := sw.WriteFlowMod(&openflow.FlowMod{
 			TableID: 0, Command: openflow.FlowModAdd, Priority: i, IdleTimeout: 5,
 			Match: &openflow.Match{TCPDst: openflow.U16(i)},
 		})
@@ -680,7 +680,7 @@ func TestCapacityEvictsExpiredBeforeRefusing(t *testing.T) {
 		}
 	}
 	// Still within their lifetime: a third entry is refused.
-	err := sw.ApplyFlowMod(&openflow.FlowMod{
+	err := sw.WriteFlowMod(&openflow.FlowMod{
 		TableID: 0, Command: openflow.FlowModAdd, Priority: 3,
 		Match: &openflow.Match{TCPDst: openflow.U16(3)},
 	})
@@ -691,7 +691,7 @@ func TestCapacityEvictsExpiredBeforeRefusing(t *testing.T) {
 	// sweep: capacity pressure evicts dead entries.
 	clk.ScheduleAfter(10*time.Second, func() {})
 	clk.Run()
-	err = sw.ApplyFlowMod(&openflow.FlowMod{
+	err = sw.WriteFlowMod(&openflow.FlowMod{
 		TableID: 0, Command: openflow.FlowModAdd, Priority: 3,
 		Match: &openflow.Match{TCPDst: openflow.U16(3)},
 	})
@@ -710,7 +710,7 @@ func TestFullTableScansOnlyWhenADeadlineIsDue(t *testing.T) {
 	const capacity = 64
 	sw := NewSwitch(Config{DPID: 1, TableCapacity: capacity, Clock: clk})
 	add := func(port uint16, idle uint16) error {
-		return sw.ApplyFlowMod(&openflow.FlowMod{
+		return sw.WriteFlowMod(&openflow.FlowMod{
 			TableID: 0, Command: openflow.FlowModAdd, Priority: 1, IdleTimeout: idle,
 			Match: &openflow.Match{TCPDst: openflow.U16(port)},
 		})
@@ -789,7 +789,7 @@ func TestExactIndexPriorityDemotion(t *testing.T) {
 		t.Fatalf("hi=%d lo=%d, want high priority to win", hi.count(), lo.count())
 	}
 	// Deleting the high-priority entry re-exposes the low one.
-	err = sw.ApplyFlowMod(&openflow.FlowMod{
+	err = sw.WriteFlowMod(&openflow.FlowMod{
 		TableID: 0, Command: openflow.FlowModDeleteStrict, Priority: 20, Match: m.Clone(),
 	})
 	if err != nil {

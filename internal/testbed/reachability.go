@@ -163,7 +163,7 @@ func (tb *Testbed) admitAt(h hop, frame []byte) bool {
 		},
 		Done: func(dec pcp.Decision) { allowed = dec.Allow },
 	}
-	tb.pcp.Process(req)
+	tb.sys.PCP().Process(req)
 	return allowed
 }
 

@@ -8,26 +8,29 @@
 // of three conditions: no access control (Baseline), static RBAC (S-RBAC)
 // or authentication-triggered RBAC (AT-RBAC).
 //
+// The control plane is the one dfi.New assembles, on the simulated clock.
 // The data plane is real: every reachability check builds an Ethernet/IPv4
 // frame, walks the switchsim pipeline at each hop of the star, and — on a
-// table-0 miss — runs the actual PCP admission path (entity resolution,
+// table-0 miss — runs the System's PCP admission path (entity resolution,
 // policy query, exact-match rule compilation and installation), so policy
 // is enforced at each hop exactly as in the paper's deployment.
 package testbed
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
+	dfi "github.com/dfi-sdn/dfi"
 	"github.com/dfi-sdn/dfi/internal/core/entity"
-	"github.com/dfi-sdn/dfi/internal/core/pcp"
 	"github.com/dfi-sdn/dfi/internal/core/pdp"
-	"github.com/dfi-sdn/dfi/internal/core/policy"
 	"github.com/dfi-sdn/dfi/internal/netpkt"
 	"github.com/dfi-sdn/dfi/internal/obs"
-	"github.com/dfi-sdn/dfi/internal/openflow"
+	"github.com/dfi-sdn/dfi/internal/policytext/compile"
 	"github.com/dfi-sdn/dfi/internal/sensors"
 	"github.com/dfi-sdn/dfi/internal/services"
 	"github.com/dfi-sdn/dfi/internal/simclock"
@@ -83,16 +86,18 @@ type Config struct {
 	// WormParams tune the surrogate (default worm.DefaultParams).
 	WormParams worm.Params
 	// QuarantineDelay, when positive, models an incident-response team:
-	// each infection is detected and the host isolated by the Quarantine
-	// PDP this long after it is compromised. Zero disables the model.
+	// each infection is detected and the host isolated this long after it
+	// is compromised, by instantiating the policy-language template
+	// quarantine(host) — the template dfid's -quarantine-template runs.
+	// Zero disables the model.
 	// This quantifies the paper's closing claim that AT-RBAC's slowdown
 	// "could provide additional time for an incident response team to be
 	// notified and isolate infected hosts".
 	QuarantineDelay time.Duration
-	// Metrics, when non-nil, is the registry the testbed's Policy Manager
-	// and PCP register their instruments with, so scenario harnesses can
-	// read time-to-enforcement and admission-latency histograms out of a
-	// testbed run. Nil leaves both uninstrumented (the historical default).
+	// Metrics, when non-nil, is the registry the testbed's System
+	// registers its instruments with, so scenario harnesses can read
+	// time-to-enforcement and admission-latency histograms out of a
+	// testbed run. Nil gives the System a private registry.
 	Metrics *obs.Registry
 }
 
@@ -104,6 +109,11 @@ const (
 	smallDeptN   = 5
 )
 
+// quarantinePolicy is the incident-response document: the quarantine
+// template outranks every condition's PDP.
+const quarantinePolicy = "pdp quarantine priority 1000\n" +
+	"template quarantine(h) { deny from host $h; deny to host $h }\n"
+
 // Testbed is a built evaluation environment.
 type Testbed struct {
 	cfg   Config
@@ -114,9 +124,8 @@ type Testbed struct {
 	dns  *services.DNSServer
 	dhcp *services.DHCPServer
 
+	sys *dfi.System
 	erm *entity.Manager
-	pm  *policy.Manager
-	pcp *pcp.PCP
 
 	core     *switchsim.Switch
 	switches map[uint64]*switchsim.Switch
@@ -125,8 +134,7 @@ type Testbed struct {
 	byIP   map[netpkt.IPv4]*Host
 	roster pdp.Roster
 
-	atrbac     *pdp.ATRBAC
-	quarantine *pdp.Quarantine
+	atrbac *pdp.ATRBAC
 
 	scripts map[string][]Interval // user -> logged-on intervals
 
@@ -142,17 +150,7 @@ type Interval struct {
 	End   time.Duration
 }
 
-type swClient struct {
-	sw *switchsim.Switch
-}
-
-var _ pcp.SwitchClient = swClient{}
-
-func (c swClient) WriteFlowMod(fm *openflow.FlowMod) error {
-	return c.sw.ApplyFlowMod(fm)
-}
-
-// New builds the testbed for the given configuration.
+// New builds the testbed for the given configuration. Close releases it.
 func New(cfg Config) (*Testbed, error) {
 	if cfg.Condition == 0 {
 		cfg.Condition = ConditionBaseline
@@ -173,12 +171,26 @@ func New(cfg Config) (*Testbed, error) {
 		switches: make(map[uint64]*switchsim.Switch),
 		scripts:  make(map[string][]Interval),
 	}
-	tb.erm = entity.NewManager()
-	var pmOpts []policy.ManagerOption
-	if cfg.Metrics != nil {
-		pmOpts = append(pmOpts, policy.WithObserver(cfg.Metrics))
+	// The testbed admits through the System's PCP directly and never
+	// serves a switch connection, so the controller is unreachable.
+	opts := []dfi.Option{
+		dfi.WithControllerDialer(func() (io.ReadWriteCloser, error) {
+			return nil, errors.New("testbed: no controller")
+		}),
+		dfi.WithClock(tb.clock),
 	}
-	tb.pm = policy.NewManager(pmOpts...)
+	if cfg.Metrics != nil {
+		opts = append(opts, dfi.WithMetrics(cfg.Metrics))
+	}
+	if cfg.QuarantineDelay > 0 {
+		opts = append(opts, dfi.WithPolicySource(quarantinePolicy))
+	}
+	sys, err := dfi.New(opts...)
+	if err != nil {
+		return nil, err
+	}
+	tb.sys = sys
+	tb.erm = sys.Entity()
 	// Authoritative services feed the ERM directly (the simulation's
 	// synchronous stand-in for the bus-attached sensors).
 	tb.dns = services.NewDNSServer(func(h string, ip netpkt.IPv4, removed bool) {
@@ -196,54 +208,49 @@ func New(cfg Config) (*Testbed, error) {
 				tb.erm.BindIPMAC(ip, mac)
 			}
 		})
-	tb.pcp = pcp.New(pcp.Config{
-		Entity: tb.erm,
-		Policy: tb.pm,
-		Clock:  tb.clock,
-		Obs:    cfg.Metrics,
-	})
 
-	if err := tb.buildTopology(); err != nil {
-		return nil, err
-	}
+	tb.buildTopology()
 	tb.buildPopulation()
 	if err := tb.installCondition(); err != nil {
+		sys.Close()
 		return nil, err
 	}
 	tb.buildScripts()
 	tb.outbreak = worm.NewOutbreak(cfg.WormParams, tb, tb.clock, cfg.Seed^0x5eed)
 	if cfg.QuarantineDelay > 0 {
-		q, err := pdp.NewQuarantine(tb.pm)
-		if err != nil {
-			return nil, err
-		}
-		tb.quarantine = q
-		delay := cfg.QuarantineDelay
+		// The same call sensors.AttachQuarantineTemplate makes for a
+		// compromise event, made on the simulated clock rather than from
+		// the bus so a run stays deterministic. It cannot fail here: New
+		// compiled the template, and its one argument is a host name.
+		engine, delay := sys.PolicyEngine(), cfg.QuarantineDelay
 		tb.outbreak.SetOnInfect(func(host string) {
 			tb.clock.ScheduleAfter(delay, func() {
-				_ = q.Isolate(host)
+				_, _ = engine.Instantiate(obs.SpanContext{}, "quarantine", host)
 			})
 		})
 	}
 	return tb, nil
 }
 
+// Close stops the testbed's System.
+func (tb *Testbed) Close() { tb.sys.Close() }
+
 // Quarantined reports whether incident response has isolated host (always
 // false when QuarantineDelay is unset).
 func (tb *Testbed) Quarantined(host string) bool {
-	return tb.quarantine != nil && tb.quarantine.Quarantined(host)
+	return slices.Contains(tb.sys.PolicyEngine().Instances(),
+		compile.InstanceKey("quarantine", []string{host}))
 }
 
 // buildTopology creates the 14-switch star and registers them with the PCP.
-func (tb *Testbed) buildTopology() error {
+func (tb *Testbed) buildTopology() {
 	tb.core = switchsim.NewSwitch(switchsim.Config{DPID: coreDPID, Clock: tb.clock})
-	tb.pcp.AttachSwitch(coreDPID, swClient{sw: tb.core})
+	tb.sys.PCP().AttachSwitch(coreDPID, tb.core)
 	for dpid := uint64(1); dpid <= 13; dpid++ {
 		sw := switchsim.NewSwitch(switchsim.Config{DPID: dpid, Clock: tb.clock})
 		tb.switches[dpid] = sw
-		tb.pcp.AttachSwitch(dpid, swClient{sw: sw})
+		tb.sys.PCP().AttachSwitch(dpid, sw)
 	}
-	return nil
 }
 
 // buildPopulation creates enclaves, hosts, users, grants, leases and DNS
@@ -338,20 +345,20 @@ func (tb *Testbed) buildPopulation() {
 func (tb *Testbed) installCondition() error {
 	switch tb.cfg.Condition {
 	case ConditionBaseline:
-		allowAll, err := pdp.NewAllowAll(tb.pm)
+		allowAll, err := pdp.NewAllowAll(tb.sys.Policy())
 		if err != nil {
 			return err
 		}
 		return allowAll.Enable()
 	case ConditionSRBAC:
-		srbac, err := pdp.NewSRBAC(tb.pm, tb.roster)
+		srbac, err := pdp.NewSRBAC(tb.sys.Policy(), tb.roster)
 		if err != nil {
 			return err
 		}
 		_, err = srbac.Install()
 		return err
 	case ConditionATRBAC:
-		atrbac, err := pdp.NewATRBAC(tb.pm, tb.roster)
+		atrbac, err := pdp.NewATRBAC(tb.sys.Policy(), tb.roster)
 		if err != nil {
 			return err
 		}
@@ -364,21 +371,6 @@ func (tb *Testbed) installCondition() error {
 		return fmt.Errorf("testbed: unknown condition %v", tb.cfg.Condition)
 	}
 }
-
-// Clock exposes the simulated clock.
-func (tb *Testbed) Clock() *simclock.Simulated { return tb.clock }
-
-// Policy exposes the policy manager (for inspection in tests).
-func (tb *Testbed) Policy() *policy.Manager { return tb.pm }
-
-// Entities exposes the entity resolution manager.
-func (tb *Testbed) Entities() *entity.Manager { return tb.erm }
-
-// Directory exposes the AD stand-in.
-func (tb *Testbed) Directory() *services.Directory { return tb.dir }
-
-// Roster exposes the role structure.
-func (tb *Testbed) Roster() pdp.Roster { return tb.roster }
 
 // Host returns a host by name.
 func (tb *Testbed) Host(name string) (*Host, bool) {
@@ -419,9 +411,6 @@ func (tb *Testbed) VulnerableHosts() []string {
 	sort.Strings(names)
 	return names
 }
-
-// Outbreak exposes the worm outbreak state.
-func (tb *Testbed) Outbreak() *worm.Outbreak { return tb.outbreak }
 
 // logon applies a log-on: credentials get cached on the machine, the ERM
 // binding updates, and (under AT-RBAC) the PDP reacts.

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ func build(t *testing.T, cond Condition, seed int64) *Testbed {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(tb.Close)
 	return tb
 }
 
@@ -267,6 +269,7 @@ func TestQuarantineDelayContainsOutbreak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer withQ.Close()
 	foothold := withQ.FootholdHost(nineAM)
 	res, err := withQ.RunInfection(foothold, nineAM, 17*time.Hour)
 	if err != nil {
@@ -285,5 +288,35 @@ func TestQuarantineDelayContainsOutbreak(t *testing.T) {
 	}
 	if base.Quarantined("d01-h1") {
 		t.Fatal("Quarantined reports true without the model enabled")
+	}
+}
+
+// TestCloseReleasesGoroutines: the goroutines a testbed's System starts
+// (PCP workers, bus delivery) are gone once Close returns. A goroutine
+// that has signalled Close but not yet exited may still be counted, so the
+// check allows less than one System's worth after twice that many
+// New/Close cycles: a leak of even one goroutine per cycle exceeds it.
+func TestCloseReleasesGoroutines(t *testing.T) {
+	cfg := Config{Condition: ConditionATRBAC, Seed: 1, QuarantineDelay: time.Minute}
+	baseline := runtime.NumGoroutine()
+	tb, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perSystem := runtime.NumGoroutine() - baseline
+	tb.Close()
+	if perSystem <= 0 {
+		t.Fatalf("a live testbed added %d goroutines", perSystem)
+	}
+	for i := 0; i < 2*perSystem; i++ {
+		tb, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb.Close()
+	}
+	if left := runtime.NumGoroutine() - baseline; left >= perSystem {
+		t.Fatalf("%d goroutines left after %d New/Close cycles (one System runs %d)",
+			left, 2*perSystem+1, perSystem)
 	}
 }

@@ -78,9 +78,9 @@ func TestProcessesEndToEnd(t *testing.T) {
 	}
 
 	// The control plane saw and decided the flows.
-	stats := dfictl("stats")
-	if !strings.Contains(stats, "pcp processed:    15") {
-		t.Fatalf("stats after cbench:\n%s", stats)
+	metrics := dfictl("metrics")
+	if !strings.Contains(metrics, "dfi_pcp_processed_total 15\n") {
+		t.Fatalf("metrics after cbench:\n%s", metrics)
 	}
 	if out := dfictl("spans"); !strings.Contains(out, "pcp     admission") {
 		t.Fatalf("spans after cbench carry no admission:\n%s", out)
