@@ -3,7 +3,6 @@ package admin
 import (
 	"encoding/json"
 	"net/http"
-	"strings"
 
 	dfi "github.com/dfi-sdn/dfi"
 	"github.com/dfi-sdn/dfi/internal/policytext"
@@ -95,9 +94,9 @@ func isDryRun(r *http.Request) bool {
 }
 
 // putPolicy applies the request's document or, for a dry run or diff,
-// computes the delta applying it would produce. The body is parsed once
-// and compiled against the running program, so only the statements it
-// changes are lowered; the response is annotated from that program and the
+// computes the delta applying it would produce. The body is parsed against
+// the running document and compiled against the running program, so only
+// the lines it changes are parsed and the statements it changes lowered; the response is annotated from that program and the
 // one the engine replaced (or would replace), read under the engine's
 // lock. A real apply reports the findings its gate computed; a dry run or
 // diff, which has no gate, computes them here.
@@ -107,7 +106,7 @@ func putPolicy(w http.ResponseWriter, r *http.Request, eng *compile.Engine, dry 
 		httpError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
-	doc, err := policytext.Parse(strings.NewReader(j.Source))
+	doc, err := eng.Parse(j.Source)
 	if err != nil {
 		httpPolicyError(w, err)
 		return

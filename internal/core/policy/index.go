@@ -1,6 +1,10 @@
 package policy
 
-import "github.com/dfi-sdn/dfi/internal/netpkt"
+import (
+	"maps"
+
+	"github.com/dfi-sdn/dfi/internal/netpkt"
+)
 
 // Indexed matching inside a snapshot. Each priority level is one bucket;
 // inside a bucket every rule lives in exactly one candidate list, chosen by
@@ -17,8 +21,16 @@ import "github.com/dfi-sdn/dfi/internal/netpkt"
 // L2-protocol rules. Ports, switch ports, DPIDs and IP protocol stay in
 // the residual list — they are either low-cardinality or rare as a rule's
 // only constraint, and the residual list keeps correctness for them.
+//
+// Buckets are copy-on-write: an apply edits only the buckets at the
+// priorities it changed (see bucket.edit), and inside one only the index
+// maps and lists that file a changed rule; the next snapshot shares
+// everything else with the one before.
 type bucket struct {
 	priority int
+	// rules holds every rule of the bucket in id order, for the conflict
+	// scan.
+	rules []*Rule
 
 	bySrcIP   map[netpkt.IPv4][]*Rule
 	byDstIP   map[netpkt.IPv4][]*Rule
@@ -33,45 +45,141 @@ type bucket struct {
 	residual []*Rule
 }
 
-// buildBucket indexes one priority level's rules.
-func buildBucket(priority int, rules []*Rule) bucket {
-	b := bucket{
-		priority:  priority,
-		bySrcIP:   map[netpkt.IPv4][]*Rule{},
-		byDstIP:   map[netpkt.IPv4][]*Rule{},
-		bySrcMAC:  map[netpkt.MAC][]*Rule{},
-		byDstMAC:  map[netpkt.MAC][]*Rule{},
-		bySrcUser: map[string][]*Rule{},
-		byDstUser: map[string][]*Rule{},
-		bySrcHost: map[string][]*Rule{},
-		byDstHost: map[string][]*Rule{},
-		byEther:   map[uint16][]*Rule{},
+// slot names the candidate list a rule is filed under: the index of the
+// first field, in selectivity order, that the rule constrains to an exact
+// value, or the residual list.
+type slot uint8
+
+const (
+	slotSrcIP slot = iota
+	slotDstIP
+	slotSrcMAC
+	slotDstMAC
+	slotSrcUser
+	slotDstUser
+	slotSrcHost
+	slotDstHost
+	slotEther
+	slotResidual
+	numSlots
+)
+
+func slotOf(r *Rule) slot {
+	switch {
+	case r.Src.IP != nil:
+		return slotSrcIP
+	case r.Dst.IP != nil:
+		return slotDstIP
+	case r.Src.MAC != nil:
+		return slotSrcMAC
+	case r.Dst.MAC != nil:
+		return slotDstMAC
+	case r.Src.User != "":
+		return slotSrcUser
+	case r.Dst.User != "":
+		return slotDstUser
+	case r.Src.Host != "":
+		return slotSrcHost
+	case r.Dst.Host != "":
+		return slotDstHost
+	case r.Props.EtherType != nil:
+		return slotEther
+	default:
+		return slotResidual
 	}
-	for _, r := range rules {
-		switch {
-		case r.Src.IP != nil:
-			b.bySrcIP[*r.Src.IP] = append(b.bySrcIP[*r.Src.IP], r)
-		case r.Dst.IP != nil:
-			b.byDstIP[*r.Dst.IP] = append(b.byDstIP[*r.Dst.IP], r)
-		case r.Src.MAC != nil:
-			b.bySrcMAC[*r.Src.MAC] = append(b.bySrcMAC[*r.Src.MAC], r)
-		case r.Dst.MAC != nil:
-			b.byDstMAC[*r.Dst.MAC] = append(b.byDstMAC[*r.Dst.MAC], r)
-		case r.Src.User != "":
-			b.bySrcUser[r.Src.User] = append(b.bySrcUser[r.Src.User], r)
-		case r.Dst.User != "":
-			b.byDstUser[r.Dst.User] = append(b.byDstUser[r.Dst.User], r)
-		case r.Src.Host != "":
-			b.bySrcHost[r.Src.Host] = append(b.bySrcHost[r.Src.Host], r)
-		case r.Dst.Host != "":
-			b.byDstHost[r.Dst.Host] = append(b.byDstHost[r.Dst.Host], r)
-		case r.Props.EtherType != nil:
-			b.byEther[*r.Props.EtherType] = append(b.byEther[*r.Props.EtherType], r)
-		default:
-			b.residual = append(b.residual, r)
-		}
+}
+
+// change is what one apply does to a list of rules: the rules it removes
+// and the rules it files, each in id order. A rule in both (same id) is
+// replaced in place.
+type change struct {
+	gone, add []*Rule
+}
+
+func (c change) empty() bool { return len(c.gone) == 0 && len(c.add) == 0 }
+
+// edit returns the bucket with c applied. It never writes into b: the
+// result shares every index map and list of b that c leaves alone, and
+// holds a copy of each one that files a changed rule.
+func (b bucket) edit(c change) bucket {
+	var per [numSlots]change
+	for _, r := range c.gone {
+		s := slotOf(r)
+		per[s].gone = append(per[s].gone, r)
+	}
+	for _, r := range c.add {
+		s := slotOf(r)
+		per[s].add = append(per[s].add, r)
+	}
+	b.rules = editList(b.rules, c)
+	b.bySrcIP = editIndex(b.bySrcIP, per[slotSrcIP], func(r *Rule) netpkt.IPv4 { return *r.Src.IP })
+	b.byDstIP = editIndex(b.byDstIP, per[slotDstIP], func(r *Rule) netpkt.IPv4 { return *r.Dst.IP })
+	b.bySrcMAC = editIndex(b.bySrcMAC, per[slotSrcMAC], func(r *Rule) netpkt.MAC { return *r.Src.MAC })
+	b.byDstMAC = editIndex(b.byDstMAC, per[slotDstMAC], func(r *Rule) netpkt.MAC { return *r.Dst.MAC })
+	b.bySrcUser = editIndex(b.bySrcUser, per[slotSrcUser], func(r *Rule) string { return r.Src.User })
+	b.byDstUser = editIndex(b.byDstUser, per[slotDstUser], func(r *Rule) string { return r.Dst.User })
+	b.bySrcHost = editIndex(b.bySrcHost, per[slotSrcHost], func(r *Rule) string { return r.Src.Host })
+	b.byDstHost = editIndex(b.byDstHost, per[slotDstHost], func(r *Rule) string { return r.Dst.Host })
+	b.byEther = editIndex(b.byEther, per[slotEther], func(r *Rule) uint16 { return *r.Props.EtherType })
+	if !per[slotResidual].empty() {
+		b.residual = editList(b.residual, per[slotResidual])
 	}
 	return b
+}
+
+// editIndex returns m with c applied to the candidate lists of the keys c
+// touches: a copy of m when c is not empty, m itself otherwise. A list c
+// empties loses its key.
+func editIndex[K comparable](m map[K][]*Rule, c change, key func(*Rule) K) map[K][]*Rule {
+	if c.empty() {
+		return m
+	}
+	byKey := make(map[K]change, len(c.gone)+len(c.add))
+	for _, r := range c.gone {
+		k := key(r)
+		kc := byKey[k]
+		kc.gone = append(kc.gone, r)
+		byKey[k] = kc
+	}
+	for _, r := range c.add {
+		k := key(r)
+		kc := byKey[k]
+		kc.add = append(kc.add, r)
+		byKey[k] = kc
+	}
+	out := maps.Clone(m)
+	if out == nil {
+		out = make(map[K][]*Rule, len(byKey))
+	}
+	for k, kc := range byKey {
+		if l := editList(m[k], kc); len(l) > 0 {
+			out[k] = l
+		} else {
+			delete(out, k)
+		}
+	}
+	return out
+}
+
+// editList returns a new list holding list's rules without c.gone and with
+// c.add merged in, in id order; list must be in id order.
+func editList(list []*Rule, c change) []*Rule {
+	out := make([]*Rule, 0, max(len(list)+len(c.add)-len(c.gone), 0))
+	gone, add := c.gone, c.add
+	for _, r := range list {
+		for len(add) > 0 && add[0].ID < r.ID {
+			out = append(out, add[0])
+			add = add[1:]
+		}
+		for len(gone) > 0 && gone[0].ID < r.ID {
+			gone = gone[1:]
+		}
+		if len(gone) > 0 && gone[0].ID == r.ID {
+			continue
+		}
+		out = append(out, r)
+	}
+	return append(out, add...)
 }
 
 // match returns the bucket's winning rule for the flow, or nil. All

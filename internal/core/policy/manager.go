@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -91,7 +92,6 @@ type Manager struct {
 	snap atomic.Pointer[Snapshot]
 
 	mu         sync.Mutex
-	rules      map[RuleID]*Rule
 	pdps       map[string]int // name -> priority
 	priorities map[int]string // priority -> name
 	nextID     RuleID
@@ -147,7 +147,6 @@ func WithAuditLog(a *obs.AuditLog) ManagerOption {
 // NewManager returns an empty Policy Manager.
 func NewManager(opts ...ManagerOption) *Manager {
 	m := &Manager{
-		rules:      make(map[RuleID]*Rule),
 		pdps:       make(map[string]int),
 		priorities: make(map[int]string),
 		nextID:     1,
@@ -201,14 +200,25 @@ func (m *Manager) Revoke(id RuleID) error {
 	return err
 }
 
+// Relabel names a stored rule and the provenance tag it should carry
+// from now on (see Rule.Origin).
+type Relabel struct {
+	ID     RuleID
+	Origin string
+}
+
 // ApplyCtx is the Policy Manager's one mutation: it revokes the rules named
 // by revokes and stores inserts, stamping each with an id and its PDP's
 // priority, and returns the new ids in insert order with the epoch of the
-// snapshot it published. An insert from an unregistered PDP or a revoke of
-// an unknown id rejects the whole call before anything changes; an empty
-// call changes nothing either and returns epoch 0. The epoch is the one
-// this call published: by the time the caller reads Epoch, another
-// mutation may have published a later one.
+// snapshot it published. relabels, when given, set the Origin of stored
+// rules that the call keeps (the policy-language engine's rules whose
+// statement moved to another line): the rule keeps its id and matches as
+// before, so a relabel adds nothing to the flush. An insert from an
+// unregistered PDP, or a revoke or relabel of an unknown id, rejects the
+// whole call before anything changes, as does a relabel of an id the call
+// revokes; an empty call changes nothing either and returns epoch 0. The
+// epoch is the one this call published: by the time the caller reads
+// Epoch, another mutation may have published a later one.
 //
 // An accepted call publishes one snapshot (one epoch) and, after
 // unlocking, calls the FlushFunc once with the sorted, duplicate-free
@@ -219,8 +229,8 @@ func (m *Manager) Revoke(id RuleID) error {
 // insert is an Allow, as the implicit catch-all is the lowest-priority
 // Deny. The ("policy","apply") span parents under sc and is committed
 // after the flush, so it measures time-to-enforcement.
-func (m *Manager) ApplyCtx(sc obs.SpanContext, inserts []Rule, revokes []RuleID) ([]RuleID, uint64, error) {
-	if len(inserts) == 0 && len(revokes) == 0 {
+func (m *Manager) ApplyCtx(sc obs.SpanContext, inserts []Rule, revokes []RuleID, relabels ...Relabel) ([]RuleID, uint64, error) {
+	if len(inserts) == 0 && len(revokes) == 0 && len(relabels) == 0 {
 		return nil, 0, nil
 	}
 	span := m.spans.Child(sc)
@@ -228,27 +238,15 @@ func (m *Manager) ApplyCtx(sc obs.SpanContext, inserts []Rule, revokes []RuleID)
 	wall := time.Now()
 
 	m.mu.Lock()
-	for i := range inserts {
-		if _, ok := m.pdps[inserts[i].PDP]; !ok {
-			m.mu.Unlock()
-			return nil, 0, fmt.Errorf("%w: %q", ErrUnknownPDP, inserts[i].PDP)
-		}
+	cur := m.snap.Load()
+	revoked, gone, relabeled, err := m.validateLocked(cur, inserts, revokes, relabels)
+	if err != nil {
+		m.mu.Unlock()
+		return nil, 0, err
 	}
-	for _, id := range revokes {
-		if _, ok := m.rules[id]; !ok {
-			m.mu.Unlock()
-			return nil, 0, fmt.Errorf("%w: %d", ErrUnknownRule, id)
-		}
-	}
-
 	flush := make([]RuleID, 0, len(revokes)+1)
-	var revoked []*Rule
-	for _, id := range revokes {
-		if r, ok := m.rules[id]; ok { // a repeated id is revoked once
-			delete(m.rules, id)
-			revoked = append(revoked, r)
-			flush = append(flush, id)
-		}
+	for _, r := range revoked {
+		flush = append(flush, r.ID)
 	}
 	ids := make([]RuleID, len(inserts))
 	inserted := make([]*Rule, len(inserts))
@@ -258,12 +256,17 @@ func (m *Manager) ApplyCtx(sc obs.SpanContext, inserts []Rule, revokes []RuleID)
 		r.ID = m.nextID
 		m.nextID++
 		// Only rules stored before this call can have installed flow rules,
-		// so conflicts are sought among the survivors, not among inserts.
-		for _, existing := range m.rules {
-			outranked := existing.Priority < r.Priority ||
-				(existing.Priority == r.Priority && r.Action == ActionDeny)
-			if outranked && existing.Action != r.Action && existing.Overlaps(&r) {
-				flush = append(flush, existing.ID)
+		// so conflicts are sought among the survivors, not among inserts,
+		// and only in the buckets the insert outranks.
+		for bi := range cur.buckets {
+			b := &cur.buckets[bi]
+			if b.priority > r.Priority || (b.priority == r.Priority && r.Action != ActionDeny) {
+				continue
+			}
+			for _, existing := range b.rules {
+				if existing.Action != r.Action && existing.Overlaps(&r) && !holds(gone, existing.ID) {
+					flush = append(flush, existing.ID)
+				}
 			}
 		}
 		if r.Action == ActionAllow {
@@ -272,14 +275,21 @@ func (m *Manager) ApplyCtx(sc obs.SpanContext, inserts []Rule, revokes []RuleID)
 		ids[i] = r.ID
 		inserted[i] = &r
 	}
-	for _, r := range inserted {
-		m.rules[r.ID] = r
+	// The snapshot loses the revoked rules and swaps each relabeled one for
+	// its copy; the inserts' new ids exceed every stored one.
+	c := change{gone: gone, add: append(relabeled, inserted...)}
+	if len(relabeled) > 0 {
+		c.gone = slices.Clone(gone)
+		for _, r := range relabeled {
+			c.gone = append(c.gone, cur.Get(r.ID))
+		}
+		slices.SortFunc(c.gone, byID)
 	}
 	// The new epoch is visible before the flush, so no cache entry keyed on
 	// the old one validates once derived flow rules are being removed.
 	m.epoch++
 	epoch := m.epoch
-	m.snap.Store(buildSnapshot(epoch, m.rules))
+	m.snap.Store(cur.next(epoch, c))
 	m.snapshotRebuilds.Inc()
 	fn := m.onFlush
 	m.mu.Unlock()
@@ -294,6 +304,9 @@ func (m *Manager) ApplyCtx(sc obs.SpanContext, inserts []Rule, revokes []RuleID)
 		// A single-rule apply names its rule.
 		var ruleID uint64
 		detail := fmt.Sprintf("inserted %d, revoked %d", len(inserted), len(revoked))
+		if len(relabeled) > 0 {
+			detail += fmt.Sprintf(", relabeled %d", len(relabeled))
+		}
 		switch {
 		case len(inserted) == 1 && len(revoked) == 0:
 			ruleID, detail = uint64(inserted[0].ID), "insert "+inserted[0].String()
@@ -319,6 +332,60 @@ func (m *Manager) ApplyCtx(sc obs.SpanContext, inserts []Rule, revokes []RuleID)
 		m.auditMutation(span, "revoke", r)
 	}
 	return ids, epoch, nil
+}
+
+// validateLocked checks an apply against cur, the published snapshot. It
+// returns the rules the apply revokes, in the caller's order and each
+// once (for the audit trail), the same rules in id order, and the
+// relabeled copies of the rules it relabels, in id order.
+func (m *Manager) validateLocked(cur *Snapshot, inserts []Rule, revokes []RuleID, relabels []Relabel) (revoked, gone, relabeled []*Rule, err error) {
+	for i := range inserts {
+		if _, ok := m.pdps[inserts[i].PDP]; !ok {
+			return nil, nil, nil, fmt.Errorf("%w: %q", ErrUnknownPDP, inserts[i].PDP)
+		}
+	}
+	revoked = make([]*Rule, 0, len(revokes))
+	for _, id := range revokes {
+		r := cur.Get(id)
+		if r == nil {
+			return nil, nil, nil, fmt.Errorf("%w: %d", ErrUnknownRule, id)
+		}
+		revoked = append(revoked, r)
+	}
+	gone = slices.Clone(revoked)
+	slices.SortFunc(gone, byID)
+	if gone = slices.Compact(gone); len(gone) < len(revoked) {
+		// A repeated id is revoked once.
+		seen := make(map[*Rule]bool, len(revoked))
+		revoked = slices.DeleteFunc(revoked, func(r *Rule) bool {
+			dup := seen[r]
+			seen[r] = true
+			return dup
+		})
+	}
+	byRelabel := make(map[RuleID]*Rule, len(relabels))
+	for _, rl := range relabels { // a repeated id takes its last origin
+		r := cur.Get(rl.ID)
+		if r == nil || holds(gone, rl.ID) {
+			return nil, nil, nil, fmt.Errorf("%w: relabel %d", ErrUnknownRule, rl.ID)
+		}
+		nr := *r
+		nr.Origin = rl.Origin
+		byRelabel[rl.ID] = &nr
+	}
+	for _, r := range byRelabel {
+		relabeled = append(relabeled, r)
+	}
+	slices.SortFunc(relabeled, byID)
+	return revoked, gone, relabeled, nil
+}
+
+func byID(a, b *Rule) int { return cmp.Compare(a.ID, b.ID) }
+
+// holds reports whether rules, in id order, holds the rule with id.
+func holds(rules []*Rule, id RuleID) bool {
+	_, found := slices.BinarySearchFunc(rules, id, func(r *Rule, id RuleID) int { return cmp.Compare(r.ID, id) })
+	return found
 }
 
 // auditMutation appends one kind="policy" record for a changed rule; a

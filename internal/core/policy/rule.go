@@ -134,14 +134,20 @@ type Rule struct {
 	// rule — the policy-language compiler records the source line and the
 	// group member or template instance that produced the rule. It is
 	// metadata only: matching, overlap checks and the policy verifier's
-	// rule signatures ignore it.
+	// rule signatures ignore it. The manager changes it only through a
+	// relabel (see Manager.ApplyCtx), which keeps the rule's id.
 	Origin string
 }
 
-// String renders the rule in the paper's tuple notation.
+// String renders the rule in the paper's tuple notation, followed by its
+// Origin when it has one.
 func (r *Rule) String() string {
-	return fmt.Sprintf("#%d[%s p%d] (%s, %s, %s, %s)",
+	s := fmt.Sprintf("#%d[%s p%d] (%s, %s, %s, %s)",
 		r.ID, r.PDP, r.Priority, r.Action, r.Props, r.Src, r.Dst)
+	if r.Origin != "" {
+		s += " <- " + r.Origin
+	}
+	return s
 }
 
 // EndpointAttrs is the enriched identity of one end of an observed flow:

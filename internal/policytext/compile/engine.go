@@ -202,14 +202,25 @@ func (e *Engine) SetCheck(check SourceCheck) {
 }
 
 // SetSource parses, compiles and applies a full policy document; see
-// Compile and Apply.
+// Parse, Compile and Apply.
 func (e *Engine) SetSource(src string) (Delta, error) {
-	doc, err := policytext.Parse(strings.NewReader(src))
+	doc, err := e.Parse(src)
 	if err != nil {
 		return Delta{}, err
 	}
 	d, _, _, err := e.Apply(e.Compile(doc))
 	return d, err
+}
+
+// Parse parses src against the running document (see
+// policytext.ParseAgainst), so only the lines src changed are tokenized
+// and parsed. Like Compile, it reads the running document under the lock
+// and parses outside it.
+func (e *Engine) Parse(src string) (*policytext.Document, error) {
+	e.mu.Lock()
+	prev := e.prog.Doc
+	e.mu.Unlock()
+	return policytext.ParseAgainst(strings.NewReader(src), prev)
 }
 
 // Compile compiles doc against the running program (see Recompile), so
@@ -283,8 +294,9 @@ type plannedState struct {
 	order []string
 	// touched lists the statements whose rules the engine does not run
 	// yet: new statements and statements lowered anew. removed lists the
-	// running statements the document drops.
-	touched, removed []string
+	// running statements the document drops, and moved the running ones it
+	// keeps on another line, whose rules the manager must relabel.
+	touched, removed, moved []string
 	// windowed is set when a touched or removed statement has a temporal
 	// window, so the window timer needs re-arming.
 	windowed  bool
@@ -348,6 +360,9 @@ func (e *Engine) planStmt(p *plannedState, st *StmtRules, now time.Time) {
 	}
 	rt, running := e.stmts[st.Key]
 	if running && rt.low != nil && rt.low == st.low && (st.Stmt.Window.IsZero() || rt.active == st.Stmt.Window.Active(now)) {
+		if rt.Stmt.Line != st.Stmt.Line {
+			p.moved = append(p.moved, st.Key)
+		}
 		rt.StmtRules = st
 	} else {
 		rt = runtimeStmt{StmtRules: st, deps: stmtDeps(p.prog.Doc, st.Stmt), active: st.Stmt.Window.Active(now)}
@@ -414,15 +429,18 @@ func (w desired) set(sk string, crs []CompiledRule) {
 
 // documentWant is the plan for swapping onto p: statements p dropped lose
 // their rules, touched statements and stale ones (which lost rules behind
-// the engine's back) get p's. Every other statement keeps what it has
-// installed.
+// the engine's back) get p's, and moved ones want what they have, under
+// their new provenance. Every other statement keeps what it has installed.
 func (e *Engine) documentWant(p *plannedState) desired {
 	e.forgetRevokedLocked()
-	want := make(desired, len(p.removed)+len(p.touched)+len(e.stale))
+	want := make(desired, len(p.removed)+len(p.touched)+len(p.moved)+len(e.stale))
 	for _, sk := range p.removed {
 		want[sk] = nil
 	}
 	for _, sk := range p.touched {
+		p.stmts[sk].want(want)
+	}
+	for _, sk := range p.moved {
 		p.stmts[sk].want(want)
 	}
 	for sk := range e.stale {
@@ -456,15 +474,17 @@ func (e *Engine) deltaLocked(want desired) (inserts []CompiledRule, revokes []st
 }
 
 // commitLocked turns want into one Manager.ApplyCtx: every rule a touched
-// statement newly wants is inserted and every installed rule it no longer
-// wants is revoked, in one snapshot, one epoch and one flush. The
-// installed set changes only once the manager accepted the apply; a
-// rejected apply returns its error with the engine as it was.
+// statement newly wants is inserted, every installed rule it no longer
+// wants is revoked and every installed rule it keeps under another Origin
+// is relabeled, in one snapshot, one epoch and one flush. The installed
+// set changes only once the manager accepted the apply; a rejected apply
+// returns its error with the engine as it was.
 func (e *Engine) commitLocked(sc obs.SpanContext, want desired) (Delta, error) {
 	inserts, revokes := e.deltaLocked(want)
+	relabels := e.relabelsLocked(want)
 	d := Delta{Revoke: e.storedLocked(revokes)}
 	var ids []policy.RuleID
-	if len(inserts)+len(revokes) > 0 {
+	if len(inserts)+len(revokes)+len(relabels) > 0 {
 		insertRules := make([]policy.Rule, len(inserts))
 		for i, cr := range inserts {
 			insertRules[i] = cr.Rule
@@ -477,7 +497,7 @@ func (e *Engine) commitLocked(sc obs.SpanContext, want desired) (Delta, error) {
 			epoch uint64
 			err   error
 		)
-		ids, epoch, err = e.pm.ApplyCtx(sc, insertRules, revokeIDs)
+		ids, epoch, err = e.pm.ApplyCtx(sc, insertRules, revokeIDs, relabels...)
 		if err != nil {
 			e.synced = 0
 			return Delta{}, policytext.ErrorList{perrf(0, "apply policy delta: %v", err)}
@@ -508,6 +528,26 @@ func (e *Engine) commitLocked(sc obs.SpanContext, want desired) (Delta, error) {
 	}
 	sortDelta(&d)
 	return d, nil
+}
+
+// relabelsLocked returns, for every installed rule want keeps, a relabel
+// to the Origin want gives it when the manager holds another one: the
+// manager's rules name the lines the engine's compiled view names.
+func (e *Engine) relabelsLocked(want desired) []policy.Relabel {
+	snap := e.pm.Snapshot()
+	var out []policy.Relabel
+	for _, rules := range want {
+		for key, cr := range rules {
+			id, ok := e.installed[key]
+			if !ok {
+				continue
+			}
+			if r := snap.Get(id); r != nil && r.Origin != cr.Rule.Origin {
+				out = append(out, policy.Relabel{ID: id, Origin: cr.Rule.Origin})
+			}
+		}
+	}
+	return out
 }
 
 // storedLocked returns the installed rules named by keys as the manager

@@ -178,12 +178,12 @@ func reuseProgramText(p *compile.Program) string {
 	return b.String()
 }
 
-// ruleSetText renders rules without their ids and insert-time origins,
-// sorted: what a fresh engine must hold too.
+// ruleSetText renders rules without their ids, sorted: what a fresh
+// engine must hold too, origins included.
 func ruleSetText(rs []policy.Rule) string {
 	out := make([]string, len(rs))
 	for i, r := range rs {
-		out[i] = fmt.Sprintf("%s %d %s", r.PDP, r.Priority, policytext.FormatRule(r))
+		out[i] = fmt.Sprintf("%s %d %s %q", r.PDP, r.Priority, policytext.FormatRule(r), r.Origin)
 	}
 	slices.Sort(out)
 	return strings.Join(out, "\n")

@@ -329,12 +329,51 @@ type parser struct {
 // Parse reads a policy document, reporting every recoverable error it
 // finds (the returned error is an ErrorList when parsing failed).
 func Parse(r io.Reader) (*Document, error) {
+	return ParseAgainst(r, nil)
+}
+
+// ParseAgainst parses a policy document as Parse does, taking from prev —
+// the document the new one replaces, nil for none — every rule statement
+// written on a line of its own exactly as prev holds it, so an edit costs
+// what it changed rather than what the document holds. The result equals
+// Parse's, errors included.
+//
+// The reuse is sound because a statement's Text is its tokens joined by
+// single spaces: tokenize yields valid UTF-8 tokens holding no space, no
+// '#' and no structural character other than a lone one, so re-tokenizing
+// Text gives back the same tokens; and a top-level line (no block open) starting with
+// allow or deny is one statement that ParseRuleStmt parses from its tokens
+// alone. A line equal to some statement's Text therefore parses to that
+// statement, on its own line and under the current pdp, and changes no
+// other parser state. A statement of prev is shared, not copied: parsed
+// documents are never written after parsing.
+func ParseAgainst(r io.Reader, prev *Document) (*Document, error) {
+	var known map[string]int // statement text -> index in prev.Rules
+	if prev != nil && len(prev.Rules) > 0 {
+		known = make(map[string]int, len(prev.Rules))
+		for i := range prev.Rules {
+			if _, dup := known[prev.Rules[i].Text]; !dup {
+				known[prev.Rules[i].Text] = i
+			}
+		}
+	}
 	p := &parser{pdpSeen: map[string]bool{}, nameSeen: map[string]int{}}
 	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	scanner.Buffer(nil, 1024*1024)
 	lineNo := 0
 	for scanner.Scan() {
 		lineNo++
+		if p.blockKind == "" && p.currentPDP != "" {
+			if i, ok := known[string(scanner.Bytes())]; ok {
+				if p.doc.Rules == nil { // room for the statements prev holds, and a few more
+					p.doc.Rules = make([]RuleStmt, 0, len(prev.Rules)+16)
+				}
+				stmt := prev.Rules[i]
+				stmt.Line, stmt.PDP = lineNo, p.currentPDP
+				p.doc.Rules = append(p.doc.Rules, stmt)
+				continue
+			}
+		}
 		p.line(lineNo, tokenize(scanner.Text()))
 	}
 	if err := scanner.Err(); err != nil {
